@@ -25,7 +25,6 @@ from .encodings import (
     decompose,
     encode,
     fill,
-    policy_image,
 )
 from .reduction import (
     Trace,
@@ -255,12 +254,12 @@ def check_name_invariance(
     scheme: EncodingScheme,
     translate: Translate | None = None,
 ) -> Verdict:
-    """Translating a renamed term equals renaming the translation (the
-    renaming policy is the identity, so the same map is applied on both
-    sides); holds for non-injective maps too."""
+    """Translating a renamed term equals renaming the translation by the
+    same map (each source name stands for itself in the target); holds for
+    non-injective maps too."""
     tr = _translator(scheme, translate)
     lhs = tr(apply_renaming(s, sigma))
-    rhs = apply_renaming(tr(s), policy_image(sigma))
+    rhs = apply_renaming(tr(s), sigma)
     if alpha_eq(lhs, rhs):
         return verdicts.holds()
     witness = (s, tuple(sorted((str(k), str(v)) for k, v in sigma.items())))
@@ -490,7 +489,7 @@ def check_lemma_suite(
                 failed.append(f"substitution:{old}->{new}")
     for sigma in sigmas:
         if not alpha_eq(
-            tr(apply_renaming(s, sigma)), apply_renaming(enc, policy_image(sigma))
+            tr(apply_renaming(s, sigma)), apply_renaming(enc, sigma)
         ):
             failed.append("renaming")
             break

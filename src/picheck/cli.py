@@ -133,10 +133,6 @@ def _trace_json(trace: Trace | None) -> list:
     ]
 
 
-def _budgets_json(**kw) -> dict:
-    return dict(kw)
-
-
 def _exit_for(outcomes: Iterable[Outcome]) -> int:
     worst = 0
     for oc in outcomes:
@@ -201,9 +197,7 @@ def _cmd_eq(args) -> int:
                 "left": pprint(a),
                 "right": pprint(b),
                 "outcome": wording,
-                "budgets": _budgets_json(
-                    unfolds=args.unfolds, candidates=DEFAULT_CANDIDATE_CAP
-                ),
+                "budgets": {"unfolds": args.unfolds, "candidates": DEFAULT_CANDIDATE_CAP},
             }
         )
     else:
@@ -225,7 +219,7 @@ def _cmd_succeeds(args) -> int:
                 "term": pprint(p),
                 "outcome": wording,
                 "trace": _trace_json(v.witness),
-                "budgets": _budgets_json(step_budget=args.max),
+                "budgets": {"step_budget": args.max},
             }
         )
     else:
@@ -284,14 +278,14 @@ def _cmd_check(args) -> int:
             max_unfolds=DEFAULT_EQ_UNFOLDS, max_candidates=DEFAULT_CANDIDATE_CAP
         ),
     )
-    budget_record = _budgets_json(
-        step_budget=args.step_budget,
-        eq_unfolds=DEFAULT_EQ_UNFOLDS,
-        eq_candidates=DEFAULT_CANDIDATE_CAP,
-        divergence_budget=budgets.divergence_budget,
-        success_budget=budgets.success_budget,
-        state_cap=budgets.state_cap,
-    )
+    budget_record = {
+        "step_budget": args.step_budget,
+        "eq_unfolds": DEFAULT_EQ_UNFOLDS,
+        "eq_candidates": DEFAULT_CANDIDATE_CAP,
+        "divergence_budget": budgets.divergence_budget,
+        "success_budget": budgets.success_budget,
+        "state_cap": budgets.state_cap,
+    }
 
     def on_verdict(criterion, scheme, term, v: Verdict) -> None:
         if not args.json:

@@ -1,23 +1,24 @@
-"""Structural congruence: normal forms, decidable matching, bounded unfolding.
+"""Structural congruence: canonical forms, normal forms, bounded unfolding.
 
 The congruence splits into a decidable core (par is a commutative monoid,
 unused restrictions drop, scopes extrude, alpha) and the replication law
-``!P == P | !P``.  The core is decided by normal-form matching; the full
-relation is only semi-decided, by unfolding replications a bounded number
-of times on both sides and matching with the core.
+``!P == P | !P``.  The core is decided by one complete canonical form,
+``deep_canon``: two terms are core-congruent exactly when their canonical
+forms are equal.  The full relation is only semi-decided, by unfolding
+replications a bounded number of times on both sides and comparing
+canonical forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import count
 from typing import Iterator
 
 from . import verdicts
 from .syntax import (
-    NIL,
-    USER,
+    SUCCESS,
     Input,
     Name,
     Nil,
@@ -29,21 +30,12 @@ from .syntax import (
     Success,
     alpha_canonical,
     alpha_eq,
-    apply_renaming,
     free_names,
     fresh,
-    fresh_name,
     has_replication,
-    names,
     par_all,
-    substitute,
 )
-from .text import pprint
 from .verdicts import Verdict
-
-# Placeholder a user-space term can never contain; used to erase the identity
-# of restricted names when computing order- and renaming-invariant keys.
-_MASK = Name(USER, "\x00")
 
 
 @dataclass(frozen=True)
@@ -92,64 +84,13 @@ def _flatten(q: Process) -> tuple[list[Name], list[Process]]:
     return restricted, comps
 
 
-@lru_cache(maxsize=400000)
-def _counts(p: Process) -> tuple[int, int, int, int]:
-    """(outputs, inputs, replications, success leaves); invariant under the core congruence."""
-    match p:
-        case Nil():
-            return (0, 0, 0, 0)
-        case Success():
-            return (0, 0, 0, 1)
-        case Output(cont=c):
-            o, i, r, k = _counts(c)
-            return (o + 1, i, r, k)
-        case Input(cont=c):
-            o, i, r, k = _counts(c)
-            return (o, i + 1, r, k)
-        case Par(left=l, right=rt):
-            a = _counts(l)
-            b = _counts(rt)
-            return tuple(x + y for x, y in zip(a, b))
-        case Restrict(body=body) | Repl(body=body):
-            return _counts(body)
-    return (0, 0, 0, 0)
-
-
-def _fingerprint(c: Process, restricted: frozenset) -> tuple:
-    """Matching-invariant key: root shape, free names outside the restricted
-    set, restricted-name usage count, constructor counts. Components that can
-    match under some restricted-name renaming always share a fingerprint."""
-
-    def name_key(n: Name) -> str:
-        return "*" if n in restricted else f"{n.space}:{n.key}"
-
-    match c:
-        case Nil():
-            root = ("0", "", "")
-        case Success():
-            root = ("ok", "", "")
-        case Output(subject=s, obj=o):
-            root = ("out", name_key(s), name_key(o))
-        case Input(subject=s):
-            root = ("in", name_key(s), "")
-        case Repl():
-            root = ("repl", "", "")
-        case _:
-            root = ("?", "", "")
-    fn = free_names(c)
-    outside = tuple(sorted(f"{n.space}:{n.key}" for n in fn - restricted))
-    return root + (_counts(c), outside, len(fn & restricted))
-
-
 @lru_cache(maxsize=200000)
 def to_normal_form(p: Process) -> NormalForm:
-    q = alpha_canonical(p)
-    restricted, comps = _flatten(q)
-    comps = [c for c in comps if c != NIL]
-    used = frozenset().union(*(free_names(c) for c in comps)) if comps else frozenset()
-    kept = frozenset(w for w in restricted if w in used)
-    comps.sort(key=lambda c: (_fingerprint(c, kept), pprint(c)))
-    return NormalForm(kept, tuple(comps))
+    """Restrictions and components of ``p`` in flatten order, which is a
+    function of the alpha class because ``alpha_canonical`` fixes it."""
+    restricted, comps = _flatten(alpha_canonical(p))
+    used = frozenset().union(*(free_names(c) for c in comps))
+    return NormalForm(used.intersection(restricted), tuple(comps))
 
 
 def nf_to_process(nf: NormalForm) -> Process:
@@ -159,81 +100,152 @@ def nf_to_process(nf: NormalForm) -> Process:
     return term
 
 
-def _preorder_names(p: Process) -> Iterator[Name]:
-    match p:
-        case Output(subject=s, obj=o, cont=c):
-            yield s
-            yield o
-            yield from _preorder_names(c)
-        case Input(subject=s, binder=b, cont=c):
-            yield s
-            yield b
-            yield from _preorder_names(c)
-        case Par(left=l, right=r):
-            yield from _preorder_names(l)
-            yield from _preorder_names(r)
-        case Restrict(binder=b, body=body):
-            yield b
-            yield from _preorder_names(body)
+# ------------------------------------------------------- canonical keys
+#
+# A key names nothing.  A name is keyed as (0, space, key) when free in the
+# whole term, (1, level) when bound (de Bruijn levels: the binder's depth in
+# the chain of binders above it), (2, colour) while colour refinement runs,
+# and _MARK for the name a refinement round is asking about.  A component
+# is (0,) for success, (1, subject, object, level) for an output,
+# (2, subject, level) for an input, (3, level) for a replication.  A level
+# is the sorted tuple of its groups, and a group is (number of restricted
+# names, sorted component keys).
+
+_MARK = (3,)
+
+
+def _nk(n: Name, env: dict) -> tuple:
+    return env.get(n) or (0, n.space, n.key)
+
+
+def _comp_key(c: Process, env: dict, depth: int) -> tuple:
+    match c:
+        case Output(subject=s, obj=o, cont=k):
+            return (1, _nk(s, env), _nk(o, env), _level_key(k, env, depth))
+        case Input(subject=s, binder=b, cont=k):
+            return (2, _nk(s, env), _level_key(k, {**env, b: (1, depth)}, depth + 1))
         case Repl(body=body):
-            yield from _preorder_names(body)
+            return (3, _level_key(body, env, depth))
+        case Success():
+            return (0,)
+    raise TypeError(f"not a plain component: {c!r}")
 
 
-def _order_and_wrap(restricted: frozenset, comps: list[Process]) -> Process:
-    """Deterministically order components, neutralize restricted-name identity,
-    and rebuild a single canonical term."""
-    if not comps:
-        return NIL
-    mask_map = {w: _MASK for w in restricted}
-
-    def masked(c: Process) -> str:
-        return pprint(alpha_canonical(apply_renaming(c, mask_map)))
-
-    comps = sorted(comps, key=lambda c: (masked(c), pprint(c)))
-    top = 0
+def _level_key(q: Process, env: dict, depth: int) -> tuple:
+    """Key of one nesting level.  Restricted names are split into groups
+    linked by shared components and each group is keyed on its own, so
+    disconnected copies never make the labelling search branch."""
+    restricted, comps = _flatten(q)
+    keys = []
+    groups: list[tuple[set, list]] = []
     for c in comps:
-        for n in names(c):
-            if n.is_fresh:
-                top = max(top, n.key + 1)
-    for w in restricted:
-        if w.is_fresh:
-            top = max(top, w.key + 1)
-    mapping: dict[Name, Name] = {}
-    for c in comps:
-        for n in _preorder_names(c):
-            if n in restricted and n not in mapping:
-                mapping[n] = fresh(top + len(mapping))
-    comps = [apply_renaming(c, mapping) for c in comps]
-    comps.sort(key=pprint)
+        ws = free_names(c).intersection(restricted)
+        if not ws:
+            keys.append((0, (_comp_key(c, env, depth),)))
+            continue
+        touching = [g for g in groups if not g[0].isdisjoint(ws)]
+        groups = [g for g in groups if g[0].isdisjoint(ws)]
+        names = set(ws).union(*(g[0] for g in touching))
+        groups.append((names, [c] + [m for g in touching for m in g[1]]))
+    keys += (_group_key(list(names), members, env, depth) for names, members in groups)
+    return tuple(sorted(keys))
+
+
+def _group_key(names: list[Name], comps: list[Process], env: dict, depth: int) -> tuple:
+    """Least key of a group over the labellings of its restricted names that
+    colour refinement (1-WL) with individualisation reaches, as graph
+    canonisers do.  Refinement is invariant under renaming, so congruent
+    groups reach the same set of keys."""
+    k = len(names)
+    inner = depth + k
+
+    def keyed(labels: dict) -> tuple:
+        e = {**env, **labels}
+        return (k, tuple(sorted(_comp_key(c, e, inner) for c in comps)))
+
+    if k == 1:
+        return keyed({names[0]: (1, depth)})
+    uses = {w: [c for c in comps if w in free_names(c)] for w in names}
+
+    def refine(colour: dict) -> dict:
+        # A name's new colour: its old one, then the keys of the components
+        # using it, with it marked and the other names read as colours.
+        while True:
+            seen = {**env, **{w: (2, colour[w]) for w in names}}
+            sig = {}
+            for w in names:
+                marked = {**seen, w: _MARK}
+                sig[w] = (colour[w], tuple(sorted(_comp_key(c, marked, inner) for c in uses[w])))
+            rank = {s: i for i, s in enumerate(sorted(set(sig.values())))}
+            new = {w: rank[sig[w]] for w in names}
+            # Stable once a round splits no cell or every name is alone.
+            if len(rank) in (k, len(set(colour.values()))):
+                return new
+            colour = new
+
+    def leaves(colour: dict) -> Iterator[tuple]:
+        colour = refine(colour)
+        cells: dict[int, list[Name]] = {}
+        for w in names:
+            cells.setdefault(colour[w], []).append(w)
+        if len(cells) == k:
+            yield keyed({w: (1, depth + colour[w]) for w in names})
+            return
+        target = min(c for c, ws in cells.items() if len(ws) > 1)
+        for w in cells[target]:
+            split = {v: 2 * c + 1 for v, c in colour.items()}
+            split[w] -= 1
+            yield from leaves(split)
+
+    return min(leaves(dict.fromkeys(names, 0)))
+
+
+def _decode_level(key: tuple, env: dict, depth: int, fresh_ids: Iterator[int]) -> Process:
+    """The term a level key stands for: every group's binders first, then
+    the components in key order, binders numbered in preorder.  ``env``
+    maps the name keys in scope back to names."""
+    binders = []
+    scoped = []
+    for k, comp_keys in key:
+        names = [fresh(next(fresh_ids)) for _ in range(k)]
+        binders += names
+        labels = {(1, depth + i): w for i, w in enumerate(names)}
+        scoped.append(({**env, **labels}, depth + k, comp_keys))
+    comps = [_decode_comp(ck, e, d, fresh_ids) for e, d, comp_keys in scoped for ck in comp_keys]
     term = par_all(comps)
-    for w in reversed(list(mapping.values())):
-        term = Restrict(w, term)
-    return alpha_canonical(term)
+    for b in reversed(binders):
+        term = Restrict(b, term)
+    return term
+
+
+def _decode_comp(key: tuple, env: dict, depth: int, fresh_ids: Iterator[int]) -> Process:
+    match key:
+        case (1, s, o, k):
+            return Output(env[s], env[o], _decode_level(k, env, depth, fresh_ids))
+        case (2, s, k):
+            b = fresh(next(fresh_ids))
+            return Input(env[s], b, _decode_level(k, {**env, (1, depth): b}, depth + 1, fresh_ids))
+        case (3, k):
+            return Repl(_decode_level(k, env, depth, fresh_ids))
+    return SUCCESS
 
 
 @lru_cache(maxsize=200000)
 def deep_canon(p: Process) -> Process:
     """Canonical form under the decidable core congruence, applied at every
-    nesting level. Equal results imply congruent terms; the converse can fail
-    on symmetric restricted-name ties, which the matching search resolves."""
+    nesting level: equal results hold exactly for core-congruent terms.
+
+    Each level (the top, every prefix continuation, every replication body)
+    is flattened into restricted names and components and given a name-free
+    key (see ``_level_key``), which is decoded back into an alpha-canonical
+    term.  Deciding the core is GI-complete, so labelling restricted names
+    may branch, but only on names that colour refinement cannot tell apart.
+    """
     q = alpha_canonical(p)
-    restricted, comps = _flatten(q)
-    out = []
-    for c in comps:
-        match c:
-            case Nil():
-                continue
-            case Output(subject=s, obj=o, cont=k):
-                out.append(Output(s, o, deep_canon(k)))
-            case Input(subject=s, binder=b, cont=k):
-                out.append(Input(s, b, deep_canon(k)))
-            case Repl(body=body):
-                out.append(Repl(deep_canon(body)))
-            case _:
-                out.append(c)
-    used = frozenset().union(*(free_names(c) for c in out)) if out else frozenset()
-    kept = frozenset(w for w in restricted if w in used)
-    return _order_and_wrap(kept, out)
+    free = free_names(q)
+    base = max((n.key + 1 for n in free if n.is_fresh), default=0)
+    env = {(0, n.space, n.key): n for n in free}
+    return _decode_level(_level_key(q, {}, 0), env, 0, count(base))
 
 
 def _refold(comps: list[Process]) -> list[Process]:
@@ -255,154 +267,25 @@ def _refold(comps: list[Process]) -> list[Process]:
 
 @lru_cache(maxsize=200000)
 def canonical_state(p: Process) -> Process:
-    """Dedup key for reachability searches: deep canonical form plus top-level
-    refolding. Key equality implies full structural congruence; inequality
-    implies nothing (missed merges cost time, never correctness)."""
+    """Dedup key for reachability searches: the deep canonical form, with
+    copies standing next to their own replication folded back at the top
+    level only.  Exact on the core; key equality implies full structural
+    congruence, while replication-congruent states deeper down or folded
+    otherwise may stay apart (missed merges cost time, never correctness)."""
     q = deep_canon(p)
     restricted, comps = _flatten(q)
     folded = _refold(comps)
     if len(folded) == len(comps):
         return q
-    used = frozenset().union(*(free_names(c) for c in folded)) if folded else frozenset()
-    kept = frozenset(w for w in restricted if w in used)
-    return _order_and_wrap(kept, folded)
+    term = par_all(folded)
+    for w in reversed(restricted):
+        term = Restrict(w, term)
+    return deep_canon(term)
 
 
-def _occurrences(p: Process, w: Name) -> int:
-    match p:
-        case Nil() | Success():
-            return 0
-        case Output(subject=s, obj=o, cont=c):
-            return (s == w) + (o == w) + _occurrences(c, w)
-        case Input(subject=s, binder=b, cont=c):
-            return (s == w) + (0 if b == w else _occurrences(c, w))
-        case Par(left=l, right=r):
-            return _occurrences(l, w) + _occurrences(r, w)
-        case Restrict(binder=b, body=body):
-            return 0 if b == w else _occurrences(body, w)
-        case Repl(body=body):
-            return _occurrences(body, w)
-    return 0
-
-
-def _comp_eq(c: Process, d: Process) -> bool:
-    match (c, d):
-        case (Nil(), Nil()) | (Success(), Success()):
-            return True
-        case (Output(), Output()):
-            return (
-                c.subject == d.subject
-                and c.obj == d.obj
-                and struct_eq_s(c.cont, d.cont)
-            )
-        case (Input(), Input()):
-            if c.subject != d.subject:
-                return False
-            if c.binder == d.binder:
-                return struct_eq_s(c.cont, d.cont)
-            nb = fresh_name(
-                free_names(c.cont) | free_names(d.cont) | {c.binder, d.binder}
-            )
-            return struct_eq_s(
-                substitute(c.cont, c.binder, nb), substitute(d.cont, d.binder, nb)
-            )
-        case (Repl(), Repl()):
-            return struct_eq_s(c.body, d.body)
-    return False
-
-
-def _match_multiset(left: list[Process], right: list[Process], restricted: frozenset) -> bool:
-    # Identical components pair off for free.
-    rest_r = list(right)
-    rest_l = []
-    for c in left:
-        if c in rest_r:
-            rest_r.remove(c)
-        else:
-            rest_l.append(c)
-    if len(rest_l) != len(rest_r):
-        return False
-    groups: dict[tuple, tuple[list, list]] = {}
-    for c in rest_l:
-        groups.setdefault(_fingerprint(c, restricted), ([], []))[0].append(c)
-    for d in rest_r:
-        key = _fingerprint(d, restricted)
-        if key not in groups:
-            return False
-        groups[key][1].append(d)
-
-    def backtrack(ga: list, gb: list) -> bool:
-        if not ga:
-            return True
-        c = ga[0]
-        for idx, d in enumerate(gb):
-            if _comp_eq(c, d) and backtrack(ga[1:], gb[:idx] + gb[idx + 1 :]):
-                return True
-        return False
-
-    return all(
-        len(ga) == len(gb) and backtrack(ga, gb) for ga, gb in groups.values()
-    )
-
-
-def _sigma_candidates(a: NormalForm, b: NormalForm) -> Iterator[dict[Name, Name]]:
-    """Injective maps from b's restricted names onto a's, grouped by a
-    matching-invariant usage profile so hopeless pairings are never tried."""
-
-    def profiles(nf: NormalForm) -> dict[tuple, list[Name]]:
-        out: dict[tuple, list[Name]] = {}
-        for w in sorted(nf.restricted, key=Name.sort_key):
-            prof = tuple(
-                sorted(
-                    (_fingerprint(c, nf.restricted), _occurrences(c, w))
-                    for c in nf.components
-                    if w in free_names(c)
-                )
-            )
-            out.setdefault(prof, []).append(w)
-        return out
-
-    pa, pb = profiles(a), profiles(b)
-    if sorted(pa.keys()) != sorted(pb.keys()):
-        return
-    keys = sorted(pa.keys())
-    if any(len(pa[k]) != len(pb[k]) for k in keys):
-        return
-    for perm_choice in product(*(permutations(pa[k]) for k in keys)):
-        sigma: dict[Name, Name] = {}
-        for k, targets in zip(keys, perm_choice):
-            sigma.update(dict(zip(pb[k], targets)))
-        yield sigma
-
-
-def _nf_eq(a: NormalForm, b: NormalForm) -> bool:
-    if len(a.restricted) != len(b.restricted):
-        return False
-    if len(a.components) != len(b.components):
-        return False
-    fa = sorted(_fingerprint(c, a.restricted) for c in a.components)
-    fb = sorted(_fingerprint(c, b.restricted) for c in b.components)
-    if fa != fb:
-        return False
-    if not b.restricted:
-        return _match_multiset(list(a.components), list(b.components), a.restricted)
-    for sigma in _sigma_candidates(a, b):
-        renamed = [apply_renaming(c, sigma) for c in b.components]
-        if _match_multiset(list(a.components), renamed, a.restricted):
-            return True
-    return False
-
-
-@lru_cache(maxsize=300000)
 def struct_eq_s(p: Process, q: Process) -> bool:
     """Decidable congruence check: everything except the replication law."""
-    if p == q:
-        return True
-    if free_names(p) != free_names(q):
-        return False
-    if deep_canon(p) == deep_canon(q):
-        return True
-    return _nf_eq(to_normal_form(p), to_normal_form(q))
+    return p == q or deep_canon(p) == deep_canon(q)
 
 
 def _single_unfolds(p: Process) -> Iterator[Process]:
@@ -483,13 +366,8 @@ def struct_eq_bounded(p: Process, q: Process, budget: EqBudget | None = None) ->
     right = unfold_replications(q, budget.max_unfolds, cap=cap)
     examined = len(left) + len(right)
     right_keys = {deep_canon(t) for t in right}
-    for a in left:
-        if deep_canon(a) in right_keys:
-            return verdicts.holds(unfolds=budget.max_unfolds, candidates=examined)
-    for a in left:
-        for b in right:
-            if struct_eq_s(a, b):
-                return verdicts.holds(unfolds=budget.max_unfolds, candidates=examined)
+    if any(deep_canon(a) in right_keys for a in left):
+        return verdicts.holds(unfolds=budget.max_unfolds, candidates=examined)
     return verdicts.inconclusive(
         witness=(p, q), unfolds=budget.max_unfolds, candidates=examined
     )

@@ -6,10 +6,11 @@ handshake takes (three target steps per source step for the two-level
 protocol, two for the direct one).  Everything except the two prefix forms
 is translated homomorphically.
 
-The module also provides the apparatus the validity checker needs: the
-renaming policy, operator decomposition and per-operator target contexts,
-and deliberately broken encoder variants used to confirm the checks can
-fail.
+The module also provides the apparatus the validity checker needs:
+operator decomposition and per-operator target contexts, and deliberately
+broken encoder variants used to confirm the checks can fail.  Each source
+name is handled by itself in the target, so a source renaming acts on the
+target unchanged.
 """
 
 from __future__ import annotations
@@ -119,18 +120,6 @@ def encode(p: Process, scheme: EncodingScheme) -> Process:
     names, so the translation is deterministic and injective up to alpha.
     """
     return _encode_with(p, _OUT[scheme], _IN[scheme])
-
-
-@dataclass(frozen=True)
-class RenamingPolicy:
-    """Every source name is handled by exactly one target name, unchanged."""
-
-    arity: int = 1
-
-
-def policy_image(sigma: dict[Name, Name]) -> dict[Name, Name]:
-    """Target-side renaming induced by a source renaming (here: the same map)."""
-    return dict(sigma)
 
 
 def decompose(p: Process) -> tuple[Process, tuple[Process, ...]]:

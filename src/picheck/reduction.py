@@ -366,9 +366,13 @@ def diverges_bounded(
     Holds with a looping trace when some reduction path revisits a canonical
     state; Violated when every path provably terminates within the budget;
     Inconclusive otherwise.  Replication-free terms always resolve: each step
-    consumes two prefixes, so the budget is raised to cover the term.
+    consumes two prefixes, so the budget is raised to cover the term.  A
+    state more than twice the size of ``p`` (plus 16) is not expanded but
+    counted unknown, the size cap ``explore``'s callers use: only
+    replication grows a term, and the growth would otherwise run away.
     """
-    if not has_replication(p):
+    grows = has_replication(p)
+    if not grows:
         budget = max(budget, _prefix_count(p) + 1)
     status: dict[Process, object] = {}
     path_keys: set[Process] = set()
@@ -389,6 +393,8 @@ def diverges_bounded(
         if not succs:
             status[key] = "term"
             return "term"
+        if grows and term_size(t) > 2 * term_size(p) + 16:
+            return "unknown"
         if remaining == 0:
             status[key] = max(0, status.get(key, 0) if isinstance(st, int) else 0)
             return "unknown"

@@ -5,6 +5,8 @@ negative vectors use deliberately broken translators and confirm the checks
 actually fire.
 """
 
+import time
+
 import pytest
 
 from picheck import (
@@ -219,6 +221,15 @@ def test_divergence_reflection_catches_a_diverging_translation():
     spinner = parse("!x!x.0 | !x(z).0")
     v = check_divergence_reflection(parse("0"), B, budget=8, translate=lambda p: spinner)
     assert v.is_violated
+
+
+def test_divergence_reflection_gives_up_on_growing_replications():
+    # Self-reacting replications whose Boudol image grows without bound: the
+    # probe must stop at the size cap instead of running out of time or memory.
+    for src in ("!(x!y.x!x.0 | x(x).0)", "!(0 | (x!y.x!x.0 | x(x).0))"):
+        start = time.perf_counter()
+        assert check_divergence_reflection(parse(src), B).is_inconclusive, src
+        assert time.perf_counter() - start < 30, src
 
 
 # --- success sensitiveness ---

@@ -7,8 +7,10 @@ decision procedure is tested against it, then the pinned examples follow.
 
 import itertools
 import random
+import time
 
-import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picheck.checker import GeneratorConfig, generate_terms
 from picheck.congruence import (
@@ -24,6 +26,7 @@ from picheck.congruence import (
 )
 from picheck.syntax import (
     NIL,
+    SUCCESS,
     Input,
     Output,
     Par,
@@ -33,6 +36,8 @@ from picheck.syntax import (
     alpha_canonical,
     alpha_eq,
     free_names,
+    names,
+    substitute,
     term_size,
     user,
 )
@@ -286,11 +291,99 @@ def test_normal_form_round_trip_decided_congruent():
 # --------------------------------------------------------- canonical keys
 
 
-def test_deep_canon_is_sound_on_small_corpus():
+def test_deep_canon_decides_the_oracle_on_two_node_corpus():
     terms = list(generate_terms(GeneratorConfig(max_nodes=2)))
+    closures = {id(t): _closure(t) for t in terms}
     for p, q in itertools.combinations(terms, 2):
-        if deep_canon(p) == deep_canon(q):
-            assert struct_eq_s(p, q), (pprint(p), pprint(q))
+        expected = bool(closures[id(p)] & closures[id(q)])
+        assert (deep_canon(p) == deep_canon(q)) == expected, (pprint(p), pprint(q))
+
+
+def test_deep_canon_ignores_how_input_binders_are_spelled():
+    p = parse("x(x).0 | x(x).ok")
+    q = parse("x(x).ok | x(x).0")
+    assert deep_canon(p) == deep_canon(q)
+    assert canonical_state(p) == canonical_state(q)
+
+
+def _digraph(n, edges):
+    """``new n0..n{n-1}. (na!nb.0 | ...)``, one output per edge (a, b)."""
+    body = " | ".join(f"n{a}!n{b}.0" for a, b in edges)
+    return parse("".join(f"new n{i}. " for i in range(n)) + f"({body})")
+
+
+def _cycles(n, step):
+    return _digraph(n, [(i, (i + step) % n) for i in range(n)])
+
+
+def test_symmetric_restricted_names_are_decided_quickly():
+    # One 8-cycle against two 4-cycles: every name looks alike to colour
+    # refinement, which a permutation search pays for factorially.
+    start = time.perf_counter()
+    assert not struct_eq_s(_cycles(8, 1), _cycles(8, 2))
+    assert struct_eq_s(_cycles(8, 1), _cycles(8, 3))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_deep_canon_tries_every_way_to_break_a_tie():
+    # Every name sends to two names and hears from two: colour refinement
+    # sees them all alike, yet not every name is symmetric to every other,
+    # so the labelling must try each way of breaking the tie.
+    edges = [(0, 2), (0, 3), (1, 2), (1, 4), (2, 0), (2, 3), (3, 1), (3, 4), (4, 0), (4, 1)]
+    rng = random.Random(3)
+    canons = set()
+    for _ in range(20):
+        label = rng.sample(range(5), 5)
+        shuffled = rng.sample(edges, len(edges))
+        canons.add(deep_canon(_digraph(5, [(label[a], label[b]) for a, b in shuffled])))
+    assert len(canons) == 1
+
+
+NAME_POOL = st.sampled_from(POOL + (x, y))
+TERMS = st.recursive(
+    st.sampled_from([NIL, SUCCESS]),
+    lambda sub: st.one_of(
+        st.builds(Output, NAME_POOL, NAME_POOL, sub),
+        st.builds(Input, NAME_POOL, NAME_POOL, sub),
+        st.builds(Par, sub, sub),
+        st.builds(Restrict, NAME_POOL, sub),
+        st.builds(Repl, sub),
+    ),
+    max_leaves=8,
+)
+
+
+def _respell_binders(p, rng):
+    """Alpha-rename every binder to a random unused user name."""
+    match p:
+        case Output(subject=s, obj=o, cont=c):
+            return Output(s, o, _respell_binders(c, rng))
+        case Input(subject=s, binder=b, cont=c):
+            nb = _unused(c, rng)
+            return Input(s, nb, _respell_binders(substitute(c, b, nb), rng))
+        case Restrict(binder=b, body=body):
+            nb = _unused(body, rng)
+            return Restrict(nb, _respell_binders(substitute(body, b, nb), rng))
+        case Par(left=l, right=r):
+            return Par(_respell_binders(l, rng), _respell_binders(r, rng))
+        case Repl(body=body):
+            return Repl(_respell_binders(body, rng))
+    return p
+
+
+def _unused(p, rng):
+    taken = names(p)
+    return rng.choice([n for n in (user(f"v{i}") for i in range(40)) if n not in taken])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(TERMS, st.integers(0, 2**32 - 1))
+def test_deep_canon_is_invariant_under_core_moves(p, seed):
+    rng = random.Random(seed)
+    canon = deep_canon(p)
+    assert deep_canon(canon) == canon
+    assert deep_canon(_scramble(p, rng)) == canon, pprint(p)
+    assert deep_canon(_respell_binders(p, rng)) == canon, pprint(p)
 
 
 def test_deep_canon_identifies_congruent_spellings():

@@ -19,7 +19,6 @@ from picheck import (
     Mutation,
     Output,
     Par,
-    RenamingPolicy,
     Repl,
     Restrict,
     alpha_canonical,
@@ -36,7 +35,6 @@ from picheck import (
     is_async,
     mutant_encoder,
     parse,
-    policy_image,
     pprint,
     user,
 )
@@ -210,20 +208,6 @@ def test_context_fill_agrees_with_recursive_encoder():
             ctx = context_for(op, free_names(s), scheme)
             plugged = fill(ctx, tuple(encode(t, scheme) for t in args))
             assert plugged == encode(s, scheme), pprint(s)
-
-
-# --- renaming policy ---
-
-
-def test_renaming_policy_is_unary():
-    assert RenamingPolicy().arity == 1
-
-
-def test_policy_image_is_the_identity_on_maps():
-    sigma = {x: y, y: y}
-    got = policy_image(sigma)
-    assert got == sigma
-    assert got is not sigma
 
 
 # --- step expansion factors ---
