@@ -14,6 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 from . import verdicts
@@ -112,7 +113,7 @@ def _exhaustive(cfg: GeneratorConfig) -> Iterator[Process]:
         yield from layer
 
 
-def _random_term(rng: random.Random, cfg: GeneratorConfig) -> Process:
+def _random(cfg: GeneratorConfig) -> Iterator[Process]:
     alphabet = list(cfg.name_alphabet)
     kinds = ["out", "in", "par", "new", "nil"]
     weights = [3, 3, 3, 2, 1]
@@ -122,11 +123,15 @@ def _random_term(rng: random.Random, cfg: GeneratorConfig) -> Process:
     if cfg.allow_success:
         kinds.append("ok")
         weights.append(1)
+    # Accumulated once here, not by rng.choices on every draw; the stream of
+    # draws is the same.
+    cum_weights = list(accumulate(weights))
+    rng = random.Random(cfg.seed)
 
     def go(budget: int) -> Process:
         if budget <= 0:
             return NIL
-        kind = rng.choices(kinds, weights)[0]
+        kind = rng.choices(kinds, cum_weights=cum_weights)[0]
         match kind:
             case "nil":
                 return NIL
@@ -145,7 +150,8 @@ def _random_term(rng: random.Random, cfg: GeneratorConfig) -> Process:
                 return Repl(go(budget - 1))
         raise AssertionError(kind)
 
-    return go(rng.randint(1, cfg.max_nodes))
+    for _ in range(cfg.random_count):
+        yield go(rng.randint(1, cfg.max_nodes))
 
 
 def generate_terms(cfg: GeneratorConfig) -> Iterator[Process]:
@@ -159,9 +165,7 @@ def generate_terms(cfg: GeneratorConfig) -> Iterator[Process]:
     if cfg.random_count is None:
         yield from _exhaustive(cfg)
         return
-    rng = random.Random(cfg.seed)
-    for _ in range(cfg.random_count):
-        yield _random_term(rng, cfg)
+    yield from _random(cfg)
 
 
 class Criterion(Enum):

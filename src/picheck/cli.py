@@ -7,7 +7,8 @@ for the success barb, ``gen`` prints a term corpus, and ``check`` runs the
 validity criteria over a corpus and aggregates verdicts.
 
 Exit codes: 0 all Holds, 1 any Violated, 2 any Inconclusive (and none
-Violated), 3 usage or parse error.  ``--json`` output is line-delimited
+Violated), 3 usage or parse error, or a term nested too deeply to
+process, 4 internal error.  ``--json`` output is line-delimited
 and deterministic: re-running with the same flags and seed is
 byte-identical.
 """
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Iterable
 
 from .checker import (
@@ -423,6 +425,13 @@ def main(argv: list[str] | None = None) -> int:
         # stdout at devnull so the interpreter's exit flush stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except RecursionError:
+        print("picheck: term nested too deeply", file=sys.stderr)
+        return 3
+    except Exception:
+        # A crash must not read as "violated" (exit 1).
+        traceback.print_exc()
+        return 4
 
 
 def entry() -> None:

@@ -212,20 +212,10 @@ def has_success(p: Process) -> bool:
     return False
 
 
-@lru_cache(maxsize=200000)
 def _contains_success(p: Process) -> bool:
     """Success leaf anywhere, guarded or not.  Reduction steps never create
     one, so a term without any can never reach an unguarded one."""
-    match p:
-        case Success():
-            return True
-        case Output(cont=c) | Input(cont=c):
-            return _contains_success(c)
-        case Par(left=l, right=r):
-            return _contains_success(l) or _contains_success(r)
-        case Restrict(body=body) | Repl(body=body):
-            return _contains_success(body)
-    return False
+    return p._ok
 
 
 def _bfs(
@@ -343,17 +333,6 @@ def may_succeed(
     return verdicts.violated(witness=p, states=n_states, depth=depth)
 
 
-def _prefix_count(p: Process) -> int:
-    match p:
-        case Output(cont=c) | Input(cont=c):
-            return 1 + _prefix_count(c)
-        case Par(left=l, right=r):
-            return _prefix_count(l) + _prefix_count(r)
-        case Restrict(body=body) | Repl(body=body):
-            return _prefix_count(body)
-    return 0
-
-
 def diverges_bounded(
     p: Process,
     *,
@@ -366,14 +345,15 @@ def diverges_bounded(
     Holds with a looping trace when some reduction path revisits a canonical
     state; Violated when every path provably terminates within the budget;
     Inconclusive otherwise.  Replication-free terms always resolve: each step
-    consumes two prefixes, so the budget is raised to cover the term.  A
-    state more than twice the size of ``p`` (plus 16) is not expanded but
-    counted unknown, the size cap ``explore``'s callers use: only
-    replication grows a term, and the growth would otherwise run away.
+    consumes two prefixes, so the budget is raised to the term's size, which
+    bounds its prefix count.  A state more than twice the size of ``p`` (plus
+    16) is not expanded but counted unknown, the size cap ``explore``'s
+    callers use: only replication grows a term, and the growth would
+    otherwise run away.
     """
     grows = has_replication(p)
     if not grows:
-        budget = max(budget, _prefix_count(p) + 1)
+        budget = max(budget, term_size(p) + 1)
     status: dict[Process, object] = {}
     path_keys: set[Process] = set()
     path_steps: list[TraceStep] = []

@@ -4,30 +4,92 @@ Names live in two disjoint spaces: user names (spelled identifiers, the only
 kind the parser produces) and fresh names (machine-generated, rendered #k).
 Keeping the spaces apart means fresh-name generation can never collide with
 anything a user wrote.
+
+Terms and names are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", ML Workshop 2006).  Every constructor looks its arguments up
+in one process-lifetime intern table and returns the node built before for
+them, so structurally equal terms, and equal names, are the same object:
+equality is identity, and memo caches keyed by terms pay one hash and one
+identity compare.  Build nodes only through their constructors.
+
+The table keys a node by the ``id()`` of each child.  That is sound only
+because the table holds every node it ever built strongly, and every node
+holds its children: no child is ever freed, so no id is ever reused.
+Lookup and insertion are not locked, so nodes must not be built from
+several threads at once.
+
+A node's hash is structural, computed once at construction from its
+children's hashes and never from an address, so set and dict order depend
+only on the terms and PYTHONHASHSEED.  Each node also stores facts that
+its constructor derives from its children's facts, without a walk: free
+names (interned sets, shared between nodes), size, whether it contains a
+replication or a success leaf, and whether it is asynchronous.  Nodes are
+immutable: assigning an attribute raises.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping
 
 USER = "user"
 FRESH = "fresh"
 
+# The intern table: (tag, child ids or leaf values) -> the one node or name,
+# and each free-name set -> itself.
+_TABLE: dict = {}
 
-@dataclass(frozen=True)
-class Name:
-    """A channel name: ``space`` is "user" or "fresh", ``key`` a str or int."""
 
-    space: str
-    key: str | int
+class _Interned:
+    """Immutable slots; repr and pickling through the constructor."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.space, self.key)))
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _facts: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # Setters of the fields, then the facts, in ``_intern``'s argument
+        # order; slot descriptors bypass the refusing ``__setattr__``.
+        cls._put = tuple(getattr(cls, s).__set__ for s in cls.__match_args__ + cls._facts)
 
     def __hash__(self):
         return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+def _intern(cls, key: tuple, *values):
+    node = object.__new__(cls)
+    for put, value in zip(cls._put, values):
+        put(node, value)
+    _TABLE[key] = node
+    return node
+
+
+class Name(_Interned):
+    """A channel name: ``space`` is "user" or "fresh", ``key`` a str or int."""
+
+    __slots__ = ("space", "key", "_hash")
+    __match_args__ = ("space", "key")
+    _facts = ("_hash",)
+
+    def __new__(cls, space: str, key: str | int):
+        k = ("name", space, key)
+        name = _TABLE.get(k)
+        if name is None:
+            name = _intern(cls, k, space, key, hash((space, key)))
+        return name
 
     @property
     def is_fresh(self) -> bool:
@@ -54,146 +116,166 @@ NameSet = frozenset  # alias used in signatures: frozenset[Name]
 EMPTY: NameSet = frozenset()
 
 
-class Process:
-    """Base class for term nodes. All nodes are immutable and hashable."""
+class Process(_Interned):
+    """Base class for term nodes: interned, immutable, hashed by structure.
 
+    Facts: ``_free`` free names, ``_size`` constructor count, ``_repl`` a
+    replication occurs, ``_ok`` a success leaf occurs (guarded or not),
+    ``_async`` every output continuation is the empty process.
+    """
+
+    __slots__ = ("_hash", "_free", "_size", "_repl", "_ok", "_async")
+    _facts = __slots__
+
+
+def _names(s: frozenset) -> frozenset:
+    # Free-name sets are interned too: a corpus has a few hundred distinct
+    # ones, shared by tens of thousands of nodes.
+    return _TABLE.setdefault(s, s)
+
+
+def _leaf(cls, key: tuple, fields: tuple, size: int, ok: bool):
+    node = _TABLE.get(key)
+    if node is None:
+        node = _intern(cls, key, *fields, hash(key), EMPTY, size, False, ok, True)
+    return node
+
+
+class Nil(Process):
     __slots__ = ()
 
-
-@dataclass(frozen=True)
-class Nil(Process):
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("nil",)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls):
+        return _leaf(cls, ("nil",), (), 0, False)
 
 
-@dataclass(frozen=True)
 class Success(Process):
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("ok",)))
+    __slots__ = ()
 
-    def __hash__(self):
-        return self._hash
-
-
-@dataclass(frozen=True)
-class Output(Process):
-    subject: Name
-    obj: Name
-    cont: Process
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash(("out", self.subject, self.obj, self.cont))
-        )
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls):
+        return _leaf(cls, ("ok",), (), 1, True)
 
 
-@dataclass(frozen=True)
-class Input(Process):
-    subject: Name
-    binder: Name
-    cont: Process
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash(("in", self.subject, self.binder, self.cont))
-        )
-
-    def __hash__(self):
-        return self._hash
-
-
-@dataclass(frozen=True)
-class Par(Process):
-    left: Process
-    right: Process
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("par", self.left, self.right)))
-
-    def __hash__(self):
-        return self._hash
-
-
-@dataclass(frozen=True)
-class Restrict(Process):
-    binder: Name
-    body: Process
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("new", self.binder, self.body)))
-
-    def __hash__(self):
-        return self._hash
-
-
-@dataclass(frozen=True)
-class Repl(Process):
-    body: Process
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("repl", self.body)))
-
-    def __hash__(self):
-        return self._hash
-
-
-@dataclass(frozen=True)
 class Hole(Process):
     """Placeholder leaf used only inside contexts built by the encodings module."""
 
-    index: int
+    __slots__ = ("index",)
+    __match_args__ = ("index",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(("hole", self.index)))
+    def __new__(cls, index: int):
+        return _leaf(cls, ("hole", index), (index,), 1, False)
 
-    def __hash__(self):
-        return self._hash
+
+class Output(Process):
+    __slots__ = ("subject", "obj", "cont")
+    __match_args__ = ("subject", "obj", "cont")
+
+    def __new__(cls, subject: Name, obj: Name, cont: Process):
+        key = ("out", id(subject), id(obj), id(cont))
+        node = _TABLE.get(key)
+        if node is None:
+            fc = cont._free
+            free = fc if subject in fc and obj in fc else _names(fc | {subject, obj})
+            node = _intern(
+                cls, key, subject, obj, cont, hash(("out", subject, obj, cont)),
+                free, cont._size + 1, cont._repl, cont._ok, cont is NIL,
+            )
+        return node
+
+
+class Input(Process):
+    __slots__ = ("subject", "binder", "cont")
+    __match_args__ = ("subject", "binder", "cont")
+
+    def __new__(cls, subject: Name, binder: Name, cont: Process):
+        key = ("in", id(subject), id(binder), id(cont))
+        node = _TABLE.get(key)
+        if node is None:
+            free = cont._free
+            if binder in free or subject not in free:
+                free = _names((free - {binder}) | {subject})
+            node = _intern(
+                cls, key, subject, binder, cont, hash(("in", subject, binder, cont)),
+                free, cont._size + 1, cont._repl, cont._ok, cont._async,
+            )
+        return node
+
+
+class Par(Process):
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Process, right: Process):
+        key = ("par", id(left), id(right))
+        node = _TABLE.get(key)
+        if node is None:
+            lf, rf = left._free, right._free
+            free = lf if rf <= lf else rf if lf <= rf else _names(lf | rf)
+            node = _intern(
+                cls, key, left, right, hash(("par", left, right)),
+                free, left._size + right._size + 1, left._repl or right._repl,
+                left._ok or right._ok, left._async and right._async,
+            )
+        return node
+
+
+class Restrict(Process):
+    __slots__ = ("binder", "body")
+    __match_args__ = ("binder", "body")
+
+    def __new__(cls, binder: Name, body: Process):
+        key = ("new", id(binder), id(body))
+        node = _TABLE.get(key)
+        if node is None:
+            free = body._free
+            if binder in free:
+                free = _names(free - {binder})
+            node = _intern(
+                cls, key, binder, body, hash(("new", binder, body)),
+                free, body._size + 1, body._repl, body._ok, body._async,
+            )
+        return node
+
+
+class Repl(Process):
+    __slots__ = ("body",)
+    __match_args__ = ("body",)
+
+    def __new__(cls, body: Process):
+        key = ("repl", id(body))
+        node = _TABLE.get(key)
+        if node is None:
+            node = _intern(
+                cls, key, body, hash(("repl", body)),
+                body._free, body._size + 1, True, body._ok, body._async,
+            )
+        return node
 
 
 NIL = Nil()
 SUCCESS = Success()
 
 
-@lru_cache(maxsize=500000)
 def free_names(p: Process) -> NameSet:
-    match p:
-        case Nil() | Success() | Hole():
-            return EMPTY
-        case Output(subject=s, obj=o, cont=c):
-            return free_names(c) | {s, o}
-        case Input(subject=s, binder=b, cont=c):
-            return (free_names(c) - {b}) | {s}
-        case Par(left=l, right=r):
-            return free_names(l) | free_names(r)
-        case Restrict(binder=b, body=body):
-            return free_names(body) - {b}
-        case Repl(body=body):
-            return free_names(body)
-    raise TypeError(f"not a process: {p!r}")
+    return p._free
 
 
-@lru_cache(maxsize=500000)
 def bound_names(p: Process) -> NameSet:
-    match p:
-        case Nil() | Success() | Hole():
-            return EMPTY
-        case Output(cont=c):
-            return bound_names(c)
-        case Input(binder=b, cont=c):
-            return bound_names(c) | {b}
-        case Par(left=l, right=r):
-            return bound_names(l) | bound_names(r)
-        case Restrict(binder=b, body=body):
-            return bound_names(body) | {b}
-        case Repl(body=body):
-            return bound_names(body)
-    raise TypeError(f"not a process: {p!r}")
+    found = set()
+    stack = [p]
+    while stack:
+        match stack.pop():
+            case Nil() | Success() | Hole():
+                pass
+            case Input(binder=b, cont=c) | Restrict(binder=b, body=c):
+                found.add(b)
+                stack.append(c)
+            case Output(cont=c) | Repl(body=c):
+                stack.append(c)
+            case Par(left=l, right=r):
+                stack += (l, r)
+            case q:
+                raise TypeError(f"not a process: {q!r}")
+    return frozenset(found)
 
 
 def names(p: Process) -> NameSet:
@@ -337,49 +419,16 @@ def alpha_eq(p: Process, q: Process) -> bool:
 
 def is_async(p: Process) -> bool:
     """True iff every output prefix has an empty continuation."""
-    match p:
-        case Nil() | Success() | Hole():
-            return True
-        case Output(cont=c):
-            return c == NIL
-        case Input(cont=c):
-            return is_async(c)
-        case Par(left=l, right=r):
-            return is_async(l) and is_async(r)
-        case Restrict(body=body) | Repl(body=body):
-            return is_async(body)
-    raise TypeError(f"not a process: {p!r}")
+    return p._async
 
 
 def has_replication(p: Process) -> bool:
-    match p:
-        case Nil() | Success() | Hole():
-            return False
-        case Repl():
-            return True
-        case Output(cont=c) | Input(cont=c):
-            return has_replication(c)
-        case Par(left=l, right=r):
-            return has_replication(l) or has_replication(r)
-        case Restrict(body=body):
-            return has_replication(body)
-    raise TypeError(f"not a process: {p!r}")
+    return p._repl
 
 
 def term_size(p: Process) -> int:
     """Constructor count; the empty process is size 0."""
-    match p:
-        case Nil():
-            return 0
-        case Success() | Hole():
-            return 1
-        case Output(cont=c) | Input(cont=c):
-            return 1 + term_size(c)
-        case Par(left=l, right=r):
-            return 1 + term_size(l) + term_size(r)
-        case Restrict(body=body) | Repl(body=body):
-            return 1 + term_size(body)
-    raise TypeError(f"not a process: {p!r}")
+    return p._size
 
 
 def par_all(parts: Iterable[Process]) -> Process:

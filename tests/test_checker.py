@@ -5,6 +5,7 @@ negative vectors use deliberately broken translators and confirm the checks
 actually fire.
 """
 
+import random
 import time
 
 import pytest
@@ -114,6 +115,41 @@ def test_random_corpus_is_seed_deterministic():
     assert len(first) == 50
     other = list(generate_terms(GeneratorConfig(max_nodes=5, random_count=50, seed=8)))
     assert first != other
+
+
+def _reference_random_terms(cfg):
+    """The random corpus as first written: weights passed on every draw."""
+    rng = random.Random(cfg.seed)
+    alphabet = list(cfg.name_alphabet)
+    kinds = ["out", "in", "par", "new", "nil"] + ["repl"] * cfg.allow_replication
+    kinds += ["ok"] * cfg.allow_success
+    weights = [3, 3, 3, 2, 1, 1, 1][: len(kinds)]
+
+    def go(budget):
+        if budget <= 0:
+            return NIL
+        kind = rng.choices(kinds, weights)[0]
+        if kind in ("nil", "ok"):
+            return NIL if kind == "nil" else SUCCESS
+        if kind in ("out", "in"):
+            make = Output if kind == "out" else Input
+            return make(rng.choice(alphabet), rng.choice(alphabet), go(budget - 1))
+        if kind == "par":
+            split = rng.randint(0, budget - 1)
+            return Par(go(split), go(budget - 1 - split))
+        if kind == "new":
+            return Restrict(rng.choice(alphabet), go(budget - 1))
+        return Repl(go(budget - 1))
+
+    return [go(rng.randint(1, cfg.max_nodes)) for _ in range(cfg.random_count)]
+
+
+@pytest.mark.parametrize("repl, ok", [(True, True), (False, True), (True, False), (False, False)])
+def test_random_corpus_draws_the_reference_stream(repl, ok):
+    cfg = GeneratorConfig(
+        max_nodes=7, random_count=300, seed=11, allow_replication=repl, allow_success=ok
+    )
+    assert list(generate_terms(cfg)) == _reference_random_terms(cfg)
 
 
 def test_empty_alphabet_is_rejected():

@@ -1,11 +1,18 @@
 """End-to-end tests of the command-line front end via main(argv).
 
 Exit codes are part of the contract: 0 all Holds, 1 any Violated, 2 any
-Inconclusive without a Violated, 3 usage or parse errors.  JSON output must
-be byte-identical across reruns with the same flags and seed.
+Inconclusive without a Violated, 3 usage or parse errors, 4 internal
+errors.  JSON output must be byte-identical across reruns with the same
+flags and seed, and across hash seeds.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from picheck import (
     NIL,
@@ -20,6 +27,7 @@ from picheck import (
     struct_eq_bounded,
     struct_eq_s,
 )
+from picheck import cli
 from picheck.cli import main
 
 B = EncodingScheme.BOUDOL
@@ -230,6 +238,24 @@ def test_check_text_mode_prints_one_line_per_criterion(capsys):
     assert all("violated=0" in line for line in lines)
 
 
+def test_check_json_does_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "picheck.cli", "check", "--max-nodes", "3", "--json"]
+    runs = [
+        subprocess.Popen(
+            cmd,
+            env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE,
+        )
+        for seed in ("0", "4242")
+    ]
+    outs = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outs[0].count(b"\n") > 1000
+    assert outs[0] == outs[1]
+
+
 def test_check_json_is_deterministic_and_well_formed(capsys):
     argv = (
         "check", "--max-nodes", "2", "--criteria", "lemma-suite",
@@ -281,3 +307,29 @@ def test_fresh_name_spelling_is_rejected_as_input(capsys):
     code, _, err = run(capsys, "step", "#0(x).0")
     assert code == 3
     assert "parse error" in err
+
+
+# --- crashes ---
+
+DEEP = "x!y." * 500 + "0"
+
+
+@pytest.mark.parametrize("command", ["encode", "normalize"])
+def test_too_deeply_nested_term_exits_3(capsys, command):
+    code, out, err = run(capsys, command, DEEP)
+    assert code == 3
+    assert out == ""
+    assert err == "picheck: term nested too deeply\n"
+
+
+@pytest.mark.parametrize("command, target", [("encode", "encode"), ("normalize", "deep_canon")])
+def test_internal_error_exits_4_with_a_traceback(capsys, monkeypatch, command, target):
+    def broken(*args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, target, broken)
+    code, out, err = run(capsys, command, "x!y.0")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("Traceback")
+    assert "KeyError: 'boom'" in err

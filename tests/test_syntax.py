@@ -1,14 +1,27 @@
-"""AST-level facts: binding, substitution, renaming, alpha handling."""
+"""AST-level facts: binding, substitution, renaming, alpha handling, interning."""
 
+import copy
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from picheck.checker import GeneratorConfig, generate_terms
+from picheck.encodings import EncodingScheme, encode
+from picheck.reduction import _contains_success
 from picheck.syntax import (
     NIL,
     SUCCESS,
+    Hole,
     Input,
     Name,
+    Nil,
     Output,
     Par,
     Repl,
     Restrict,
+    Success,
     alpha_canonical,
     alpha_eq,
     apply_renaming,
@@ -23,7 +36,7 @@ from picheck.syntax import (
     term_size,
     user,
 )
-from picheck.text import parse
+from picheck.text import parse, pprint
 
 x, y, z, w, a = (user(c) for c in "xyzwa")
 
@@ -152,3 +165,127 @@ def test_name_spaces_are_disjoint():
     assert Name("user", "q") == user("q")
     assert str(fresh(3)) == "#3"
     assert str(user("x")) == "x"
+
+
+# --- interning ---
+
+
+def test_equal_structure_is_one_object():
+    assert user("q") is Name("user", "q")
+    assert fresh(3) is Name("fresh", 3)
+    assert Nil() is NIL and Success() is SUCCESS
+    assert Hole(1) is Hole(1)
+    assert Output(user("x"), user("y"), Nil()) is Output(x, y, NIL)
+    src = "new z. (x!z.0 | x(w).w!y.ok) | !y(w).0"
+    assert parse(src) is parse(src)
+    assert parse("x!y.0 | 0") is Par(Output(x, y, NIL), NIL)
+    assert parse("x!y.0") is not parse("x!x.0")
+
+
+def test_nodes_and_names_are_immutable():
+    t = parse("x(z).z!y.0")
+    with pytest.raises(AttributeError):
+        t.cont = NIL
+    with pytest.raises(AttributeError):
+        t.fresh_attribute = 1
+    with pytest.raises(AttributeError):
+        del t.subject
+    with pytest.raises(AttributeError):
+        x.key = "y"
+    assert t is parse("x(z).z!y.0")
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+
+
+def test_parse_of_pprint_is_the_same_object():
+    for t in generate_terms(GeneratorConfig(max_nodes=3)):
+        assert parse(pprint(t)) is t
+
+
+# Reference definitions of the facts each node stores, by plain recursion.
+
+
+def ref_free(p):
+    match p:
+        case Nil() | Success() | Hole():
+            return frozenset()
+        case Output(subject=s, obj=o, cont=c):
+            return ref_free(c) | {s, o}
+        case Input(subject=s, binder=b, cont=c):
+            return (ref_free(c) - {b}) | {s}
+        case Par(left=l, right=r):
+            return ref_free(l) | ref_free(r)
+        case Restrict(binder=b, body=body):
+            return ref_free(body) - {b}
+        case Repl(body=body):
+            return ref_free(body)
+
+
+def ref_size(p):
+    match p:
+        case Nil():
+            return 0
+        case Success() | Hole():
+            return 1
+        case Output(cont=c) | Input(cont=c) | Restrict(body=c) | Repl(body=c):
+            return 1 + ref_size(c)
+        case Par(left=l, right=r):
+            return 1 + ref_size(l) + ref_size(r)
+
+
+def ref_any(p, leaf):
+    match p:
+        case Output(cont=c) | Input(cont=c) | Restrict(body=c) | Repl(body=c):
+            return isinstance(p, leaf) or ref_any(c, leaf)
+        case Par(left=l, right=r):
+            return ref_any(l, leaf) or ref_any(r, leaf)
+    return isinstance(p, leaf)
+
+
+def ref_async(p):
+    match p:
+        case Output(cont=c):
+            return c == NIL
+        case Input(cont=c) | Restrict(body=c) | Repl(body=c):
+            return ref_async(c)
+        case Par(left=l, right=r):
+            return ref_async(l) and ref_async(r)
+    return True
+
+
+def assert_facts(p):
+    assert free_names(p) == ref_free(p), pprint(p)
+    assert term_size(p) == ref_size(p), pprint(p)
+    assert has_replication(p) == ref_any(p, Repl), pprint(p)
+    assert _contains_success(p) == ref_any(p, Success), pprint(p)
+    assert is_async(p) == ref_async(p), pprint(p)
+
+
+def test_node_facts_match_their_definitions_on_the_corpus_and_its_encodings():
+    corpus = list(generate_terms(GeneratorConfig(max_nodes=3)))
+    for t in corpus:
+        assert_facts(t)
+        for scheme in EncodingScheme:
+            assert_facts(encode(t, scheme))
+    for hole in (Hole(0), Output(x, y, Hole(0)), Par(Hole(0), Hole(1))):
+        assert_facts(hole)
+
+
+NAMES = st.sampled_from((x, y, z, fresh(0), fresh(1)))
+TERMS = st.recursive(
+    st.sampled_from([NIL, SUCCESS]),
+    lambda sub: st.one_of(
+        st.builds(Output, NAMES, NAMES, sub),
+        st.builds(Input, NAMES, NAMES, sub),
+        st.builds(Par, sub, sub),
+        st.builds(Restrict, NAMES, sub),
+        st.builds(Repl, sub),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(TERMS)
+def test_node_facts_match_their_definitions_on_generated_terms(p):
+    assert_facts(p)
