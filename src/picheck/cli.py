@@ -54,11 +54,10 @@ SCHEME_NAMES = {
     "honda-tokoro": EncodingScheme.HONDA_TOKORO,
 }
 
-# Defaults shared by the verdict-producing subcommands; documented so an
-# Inconclusive outcome is reproducible.
-DEFAULT_STEP_BUDGET = 64
-DEFAULT_EQ_UNFOLDS = 2
-DEFAULT_CANDIDATE_CAP = 10000
+# Budget defaults, read from the budget classes and shown in ``--help`` so
+# an Inconclusive outcome is reproducible.
+_SUITE = SuiteBudgets()
+_EQ = EqBudget()
 
 
 class UsageError(Exception):
@@ -68,6 +67,17 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")
+
+
+def _count(text: str) -> int:
+    """argparse type of a count or budget flag: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def _scheme(label: str) -> EncodingScheme:
@@ -186,7 +196,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_eq(args) -> int:
     a, b = _term(args.left), _term(args.right)
-    budget = EqBudget(max_unfolds=args.unfolds, max_candidates=DEFAULT_CANDIDATE_CAP)
+    budget = EqBudget(max_unfolds=args.unfolds)
     v = struct_eq_bounded(a, b, budget)
     wording = {
         Outcome.HOLDS: "equivalent",
@@ -199,7 +209,7 @@ def _cmd_eq(args) -> int:
                 "left": pprint(a),
                 "right": pprint(b),
                 "outcome": wording,
-                "budgets": {"unfolds": args.unfolds, "candidates": DEFAULT_CANDIDATE_CAP},
+                "budgets": {"unfolds": args.unfolds, "candidates": budget.max_candidates},
             }
         )
     else:
@@ -274,16 +284,11 @@ def _cmd_check(args) -> int:
         schemes = tuple(EncodingScheme)
     else:
         schemes = (_scheme(args.scheme),)
-    budgets = SuiteBudgets(
-        step_budget=args.step_budget,
-        eq=EqBudget(
-            max_unfolds=DEFAULT_EQ_UNFOLDS, max_candidates=DEFAULT_CANDIDATE_CAP
-        ),
-    )
+    budgets = SuiteBudgets(step_budget=args.step_budget)
     budget_record = {
         "step_budget": args.step_budget,
-        "eq_unfolds": DEFAULT_EQ_UNFOLDS,
-        "eq_candidates": DEFAULT_CANDIDATE_CAP,
+        "eq_unfolds": budgets.eq.max_unfolds,
+        "eq_candidates": budgets.eq.max_candidates,
         "divergence_budget": budgets.divergence_budget,
         "success_budget": budgets.success_budget,
         "state_cap": budgets.state_cap,
@@ -362,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("trace", help="follow the first available reduction chain")
     tr.add_argument("--encode", default=None, metavar="SCHEME",
                     help="encode the term first (boudol or ht)")
-    tr.add_argument("--max", type=int, default=16, help="step limit (default 16)")
+    tr.add_argument("--max", type=_count, default=16, help="step limit (default 16)")
     tr.add_argument("term")
     tr.set_defaults(func=_cmd_trace)
 
@@ -373,26 +378,26 @@ def build_parser() -> argparse.ArgumentParser:
     eq = sub.add_parser("eq", help="decide structural congruence up to bounded unfolding")
     eq.add_argument("left")
     eq.add_argument("right")
-    eq.add_argument("--unfolds", type=int, default=DEFAULT_EQ_UNFOLDS,
-                    help=f"replication unfolding depth (default {DEFAULT_EQ_UNFOLDS})")
+    eq.add_argument("--unfolds", type=_count, default=_EQ.max_unfolds,
+                    help=f"replication unfolding depth (default {_EQ.max_unfolds})")
     eq.add_argument("--json", action="store_true")
     eq.set_defaults(func=_cmd_eq)
 
     sc = sub.add_parser("succeeds", help="search for a reachable success barb")
     sc.add_argument("term")
-    sc.add_argument("--max", type=int, default=DEFAULT_STEP_BUDGET,
-                    help=f"step budget (default {DEFAULT_STEP_BUDGET})")
+    sc.add_argument("--max", type=_count, default=_SUITE.step_budget,
+                    help=f"step budget (default {_SUITE.step_budget})")
     sc.add_argument("--json", action="store_true")
     sc.set_defaults(func=_cmd_succeeds)
 
     def corpus_flags(p) -> None:
-        p.add_argument("--max-nodes", type=int, default=4,
+        p.add_argument("--max-nodes", type=_count, default=4,
                        help="constructor-node bound (default 4)")
         p.add_argument("--names", default="xy",
                        help="user-name alphabet, one letter each (default xy)")
         p.add_argument("--seed", type=int, default=0,
                        help="random-mode seed (default 0)")
-        p.add_argument("--count", type=int, default=None,
+        p.add_argument("--count", type=_count, default=None,
                        help="random mode: number of terms (default: exhaustive)")
 
     gen = sub.add_parser("gen", help="print the term corpus, one term per line")
@@ -404,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated criterion names, or 'all'")
     ck.add_argument("--scheme", default="both", help="boudol, ht, or both")
     corpus_flags(ck)
-    ck.add_argument("--step-budget", type=int, default=DEFAULT_STEP_BUDGET,
-                    help=f"reduction step budget (default {DEFAULT_STEP_BUDGET})")
+    ck.add_argument("--step-budget", type=_count, default=_SUITE.step_budget,
+                    help=f"reduction step budget (default {_SUITE.step_budget})")
     ck.add_argument("--json", action="store_true")
     ck.set_defaults(func=_cmd_check)
 

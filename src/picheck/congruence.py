@@ -12,7 +12,6 @@ canonical forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count
 from typing import Iterator
 
@@ -33,6 +32,7 @@ from .syntax import (
     free_names,
     fresh,
     has_replication,
+    memo,
     par_all,
 )
 from .verdicts import Verdict
@@ -84,7 +84,7 @@ def _flatten(q: Process) -> tuple[list[Name], list[Process]]:
     return restricted, comps
 
 
-@lru_cache(maxsize=200000)
+@memo
 def to_normal_form(p: Process) -> NormalForm:
     """Restrictions and components of ``p`` in flatten order, which is a
     function of the alpha class because ``alpha_canonical`` fixes it."""
@@ -230,7 +230,7 @@ def _decode_comp(key: tuple, env: dict, depth: int, fresh_ids: Iterator[int]) ->
     return SUCCESS
 
 
-@lru_cache(maxsize=200000)
+@memo
 def deep_canon(p: Process) -> Process:
     """Canonical form under the decidable core congruence, applied at every
     nesting level: equal results hold exactly for core-congruent terms.
@@ -265,7 +265,7 @@ def _refold(comps: list[Process]) -> list[Process]:
     return comps
 
 
-@lru_cache(maxsize=200000)
+@memo
 def canonical_state(p: Process) -> Process:
     """Dedup key for reachability searches: the deep canonical form, with
     copies standing next to their own replication folded back at the top

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable
 
 from .syntax import (
@@ -35,6 +34,7 @@ from .syntax import (
     Success,
     free_names,
     fresh_name,
+    memo,
 )
 
 Clause = Callable[[Name, Name, Process, frozenset], Process]
@@ -112,14 +112,26 @@ def _encode_with(p: Process, out_clause: Clause, in_clause: Clause) -> Process:
     return go(p)
 
 
-@lru_cache(maxsize=200000)
+@memo
+def _boudol(p: Process) -> Process:
+    return _encode_with(p, _boudol_out, _boudol_in)
+
+
+@memo
+def _honda_tokoro(p: Process) -> Process:
+    return _encode_with(p, _ht_out, _ht_in)
+
+
+_TRANSLATORS = {EncodingScheme.BOUDOL: _boudol, EncodingScheme.HONDA_TOKORO: _honda_tokoro}
+
+
 def encode(p: Process, scheme: EncodingScheme) -> Process:
     """Translate a synchronous term into the asynchronous fragment.
 
     Bookkeeping names are the least fresh names avoiding the clause's free
     names, so the translation is deterministic and injective up to alpha.
     """
-    return _encode_with(p, _OUT[scheme], _IN[scheme])
+    return _TRANSLATORS[scheme](p)
 
 
 def decompose(p: Process) -> tuple[Process, tuple[Process, ...]]:

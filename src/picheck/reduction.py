@@ -10,7 +10,6 @@ prefix from each of at most two components.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterator
 
 from . import verdicts
@@ -36,6 +35,7 @@ from .syntax import (
     free_names,
     has_replication,
     is_async,
+    memo,
     par_all,
     substitute,
     term_size,
@@ -126,19 +126,18 @@ def _inert_ok(nf: NormalForm, i: int, j: int) -> bool:
     return v not in free_names(substitute(inp.cont, inp.binder, out.obj))
 
 
-@lru_cache(maxsize=150000)
-def reduct_candidates(
-    p: Process, unfold_depth: int = 1
-) -> tuple[tuple[Process, RedexDescriptor], ...]:
+@memo
+def reduct_candidates(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]:
     """All one-step reducts modulo congruence, deduplicated by canonical state.
 
     Pairs every unguarded output with every unguarded input on the same
-    subject, at each replication-exposure level up to ``unfold_depth``.
+    subject, in ``p`` and then in ``p`` with its unguarded replications
+    exposed once, which is enough (see the module docstring).
     """
     results = []
     seen = set()
-    variant = p
-    for level in range(unfold_depth + 1):
+    exposed = expose(p)
+    for level, variant in enumerate((p,) if exposed == p else (p, exposed)):
         nf = to_normal_form(variant)
         outs = [(i, c) for i, c in enumerate(nf.components) if isinstance(c, Output)]
         ins = [(j, c) for j, c in enumerate(nf.components) if isinstance(c, Input)]
@@ -160,11 +159,6 @@ def reduct_candidates(
                     inert=_inert_ok(nf, i, j),
                 )
                 results.append((q, rd))
-        if level < unfold_depth:
-            exposed = expose(variant)
-            if exposed == variant:
-                break
-            variant = exposed
     return tuple(results)
 
 
@@ -223,7 +217,6 @@ def _bfs(
     check: Callable[[Process], Outcome],
     step_budget: int,
     state_cap: int,
-    unfold_depth: int,
 ) -> tuple[Trace | None, bool, bool, int, int]:
     """Breadth-first search for a state passing ``check``.
 
@@ -256,7 +249,7 @@ def _bfs(
     while frontier and depth < step_budget:
         nxt = []
         for k in frontier:
-            for q, rd in reduct_candidates(states[k], unfold_depth):
+            for q, rd in reduct_candidates(states[k]):
                 qk = canonical_state(q)
                 if qk in states:
                     continue
@@ -285,7 +278,6 @@ def reduces_to(
     step_budget: int = 64,
     eq_budget: EqBudget | None = None,
     state_cap: int = 10000,
-    unfold_depth: int = 1,
 ) -> Verdict:
     """Can p reach a term congruent to q?  Holds with a trace witness;
     Violated only when the whole reachable graph was seen and every
@@ -299,9 +291,7 @@ def reduces_to(
             return Outcome.VIOLATED
         return struct_eq_bounded(t, q, eq_budget).outcome
 
-    trace, any_inc, truncated, n_states, depth = _bfs(
-        p, check, step_budget, state_cap, unfold_depth
-    )
+    trace, any_inc, truncated, n_states, depth = _bfs(p, check, step_budget, state_cap)
     if trace is not None:
         return verdicts.holds(witness=trace, steps=len(trace), states=n_states)
     if truncated or any_inc:
@@ -314,7 +304,6 @@ def may_succeed(
     *,
     step_budget: int = 64,
     state_cap: int = 10000,
-    unfold_depth: int = 1,
 ) -> Verdict:
     """Can p reach a state with an unguarded success leaf?"""
     if not _contains_success(p):
@@ -323,9 +312,7 @@ def may_succeed(
     def check(t: Process) -> Outcome:
         return Outcome.HOLDS if has_success(t) else Outcome.VIOLATED
 
-    trace, _, truncated, n_states, depth = _bfs(
-        p, check, step_budget, state_cap, unfold_depth
-    )
+    trace, _, truncated, n_states, depth = _bfs(p, check, step_budget, state_cap)
     if trace is not None:
         return verdicts.holds(witness=trace, steps=len(trace), states=n_states)
     if truncated:
@@ -338,7 +325,6 @@ def diverges_bounded(
     *,
     budget: int = 16,
     state_cap: int = 10000,
-    unfold_depth: int = 1,
 ) -> Verdict:
     """Bounded divergence probe.
 
@@ -369,7 +355,7 @@ def diverges_bounded(
             return "term"
         if isinstance(st, int) and st >= remaining:
             return "unknown"
-        succs = reduct_candidates(t, unfold_depth)
+        succs = reduct_candidates(t)
         if not succs:
             status[key] = "term"
             return "term"
@@ -424,7 +410,6 @@ def explore(
     *,
     step_budget: int = 64,
     state_cap: int = 10000,
-    unfold_depth: int = 1,
     size_cap: int | None = None,
 ) -> ReductionGraph:
     """Forward exploration up to the budgets.  ``size_cap`` stops expanding
@@ -446,7 +431,7 @@ def explore(
                 edges[k] = ()
                 continue
             succ_keys = []
-            for q, _ in reduct_candidates(states[k], unfold_depth):
+            for q, _ in reduct_candidates(states[k]):
                 qk = canonical_state(q)
                 succ_keys.append(qk)
                 if qk not in states:

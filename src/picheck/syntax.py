@@ -25,12 +25,18 @@ its constructor derives from its children's facts, without a walk: free
 names (interned sets, shared between nodes), size, whether it contains a
 replication or a success leaf, and whether it is asynchronous.  Nodes are
 immutable: assigning an attribute raises.
+
+Functions of one term that are asked the same question many times (alpha
+form, normal form, canonical state, reducts, printing, encoding) are
+decorated with ``memo``, which keeps each result on the node it was computed
+from.  There is no global cache and no eviction: a result lives as long as
+its node, which is the whole process.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Iterable, Mapping
+from functools import wraps
+from typing import Callable, Iterable, Mapping, TypeVar
 
 USER = "user"
 FRESH = "fresh"
@@ -121,11 +127,42 @@ class Process(_Interned):
 
     Facts: ``_free`` free names, ``_size`` constructor count, ``_repl`` a
     replication occurs, ``_ok`` a success leaf occurs (guarded or not),
-    ``_async`` every output continuation is the empty process.
+    ``_async`` every output continuation is the empty process.  ``_memo``
+    holds the results of ``memo`` functions: ``_NO_MEMO`` until the first.
     """
 
-    __slots__ = ("_hash", "_free", "_size", "_repl", "_ok", "_async")
+    __slots__ = ("_hash", "_free", "_size", "_repl", "_ok", "_async", "_memo")
     _facts = __slots__
+
+
+# Every node's ``_memo`` until it stores a result; never written to.  A
+# shared empty dict, rather than an unset slot, keeps a node's first memo
+# lookup on the cheap KeyError path.
+_NO_MEMO: dict = {}
+
+
+R = TypeVar("R")
+
+
+def memo(fn: Callable[[Process], R]) -> Callable[[Process], R]:
+    """Memoise a function of one term on the term: the result is stored in
+    the node's ``_memo`` dict under ``fn``.  Sound because nodes are
+    interned and immutable; ``__wrapped__`` is the undecorated function."""
+    put_memo = Process._memo.__set__
+
+    @wraps(fn)
+    def memoised(p: Process) -> R:
+        try:
+            return p._memo[fn]
+        except KeyError:
+            stored = p._memo
+            if stored is _NO_MEMO:
+                stored = {}
+                put_memo(p, stored)
+        result = stored[fn] = fn(p)
+        return result
+
+    return memoised
 
 
 def _names(s: frozenset) -> frozenset:
@@ -137,7 +174,7 @@ def _names(s: frozenset) -> frozenset:
 def _leaf(cls, key: tuple, fields: tuple, size: int, ok: bool):
     node = _TABLE.get(key)
     if node is None:
-        node = _intern(cls, key, *fields, hash(key), EMPTY, size, False, ok, True)
+        node = _intern(cls, key, *fields, hash(key), EMPTY, size, False, ok, True, _NO_MEMO)
     return node
 
 
@@ -177,7 +214,7 @@ class Output(Process):
             free = fc if subject in fc and obj in fc else _names(fc | {subject, obj})
             node = _intern(
                 cls, key, subject, obj, cont, hash(("out", subject, obj, cont)),
-                free, cont._size + 1, cont._repl, cont._ok, cont is NIL,
+                free, cont._size + 1, cont._repl, cont._ok, cont is NIL, _NO_MEMO,
             )
         return node
 
@@ -195,7 +232,7 @@ class Input(Process):
                 free = _names((free - {binder}) | {subject})
             node = _intern(
                 cls, key, subject, binder, cont, hash(("in", subject, binder, cont)),
-                free, cont._size + 1, cont._repl, cont._ok, cont._async,
+                free, cont._size + 1, cont._repl, cont._ok, cont._async, _NO_MEMO,
             )
         return node
 
@@ -213,7 +250,7 @@ class Par(Process):
             node = _intern(
                 cls, key, left, right, hash(("par", left, right)),
                 free, left._size + right._size + 1, left._repl or right._repl,
-                left._ok or right._ok, left._async and right._async,
+                left._ok or right._ok, left._async and right._async, _NO_MEMO,
             )
         return node
 
@@ -231,7 +268,7 @@ class Restrict(Process):
                 free = _names(free - {binder})
             node = _intern(
                 cls, key, binder, body, hash(("new", binder, body)),
-                free, body._size + 1, body._repl, body._ok, body._async,
+                free, body._size + 1, body._repl, body._ok, body._async, _NO_MEMO,
             )
         return node
 
@@ -246,7 +283,7 @@ class Repl(Process):
         if node is None:
             node = _intern(
                 cls, key, body, hash(("repl", body)),
-                body._free, body._size + 1, True, body._ok, body._async,
+                body._free, body._size + 1, True, body._ok, body._async, _NO_MEMO,
             )
         return node
 
@@ -378,7 +415,7 @@ def _rename_under_binder(b: Name, body: Process, sigma: dict[Name, Name]):
     return b, _rename(body, inner)
 
 
-@lru_cache(maxsize=400000)
+@memo
 def alpha_canonical(p: Process) -> Process:
     """Canonical representative of the alpha-class of ``p``.
 

@@ -23,7 +23,6 @@ rejected by the parser.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .syntax import (
     NIL,
@@ -38,6 +37,7 @@ from .syntax import (
     Repl,
     Restrict,
     Success,
+    memo,
     user,
 )
 
@@ -215,7 +215,7 @@ def _atom(p: Process) -> str:
     return f"({pprint(p)})" if isinstance(p, Par) else pprint(p)
 
 
-@lru_cache(maxsize=300000)
+@memo
 def pprint(p: Process) -> str:
     """Canonical rendering; re-parses to the same tree for user-space terms."""
     match p:

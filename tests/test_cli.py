@@ -297,6 +297,24 @@ def test_unknown_criterion_exits_3(capsys):
     assert "criterion" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--max-nodes", "-2"),
+        ("check", "--count", "-3"),
+        ("check", "--step-budget", "-1"),
+        ("succeeds", "--max", "-1", "x!y.ok | x(z).0"),
+        ("trace", "--max", "-1", "x!y.0 | x(z).0"),
+        ("eq", "--unfolds", "-1", "!x!y.0", "x!y.0 | !x!y.0"),
+    ],
+)
+def test_negative_count_or_budget_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "must not be negative" in err
+
+
 def test_parse_error_exits_3(capsys):
     code, _, err = run(capsys, "encode", "x!y")
     assert code == 3

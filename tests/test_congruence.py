@@ -11,6 +11,7 @@ import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_syntax import TERMS as SYNTAX_TERMS
 
 from picheck.checker import GeneratorConfig, generate_terms
 from picheck.congruence import (
@@ -42,6 +43,7 @@ from picheck.syntax import (
     user,
 )
 from picheck.text import parse, pprint
+from picheck.verdicts import Outcome
 
 x, y, z = user("x"), user("y"), user("z")
 POOL = tuple(user(c) for c in "abc")
@@ -507,3 +509,13 @@ def test_expose_reaches_through_restriction():
 def test_expose_ignores_guarded_replication():
     p = parse("x(z).!0")
     assert expose(p) == p
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(SYNTAX_TERMS)
+def test_equal_canonical_states_are_congruent_on_generated_terms(p):
+    state = canonical_state(p)
+    assert canonical_state(state) is state, pprint(p)
+    for q in (state, expose(p)):
+        if canonical_state(q) is state:
+            assert struct_eq_bounded(p, q).outcome is Outcome.HOLDS, (pprint(p), pprint(q))

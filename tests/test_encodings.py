@@ -7,6 +7,8 @@ gives two independent code paths to the same term.
 """
 
 import pytest
+from hypothesis import given, settings
+from test_syntax import TERMS
 
 from picheck import (
     NIL,
@@ -234,3 +236,12 @@ def test_mutations_live_in_the_output_clause():
     for scheme in SCHEMES:
         for mutation in Mutation:
             assert mutant_encoder(scheme, mutation)(probe) == encode(probe, scheme)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(TERMS)
+def test_images_are_asynchronous_and_keep_free_names_on_generated_terms(p):
+    for scheme in SCHEMES:
+        image = encode(p, scheme)
+        assert is_async(image), pprint(p)
+        assert free_names(image) == free_names(p), pprint(p)

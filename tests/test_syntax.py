@@ -1,12 +1,17 @@
 """AST-level facts: binding, substitution, renaming, alpha handling, interning."""
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import picheck
+from picheck import congruence, encodings, reduction, syntax, text
 from picheck.checker import GeneratorConfig, generate_terms
 from picheck.encodings import EncodingScheme, encode
 from picheck.reduction import _contains_success
@@ -19,6 +24,7 @@ from picheck.syntax import (
     Nil,
     Output,
     Par,
+    Process,
     Repl,
     Restrict,
     Success,
@@ -31,6 +37,7 @@ from picheck.syntax import (
     fresh_name,
     has_replication,
     is_async,
+    memo,
     par_all,
     substitute,
     term_size,
@@ -289,3 +296,62 @@ TERMS = st.recursive(
 @given(TERMS)
 def test_node_facts_match_their_definitions_on_generated_terms(p):
     assert_facts(p)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(TERMS)
+def test_alpha_canonical_is_idempotent_on_generated_terms(p):
+    canon = alpha_canonical(p)
+    assert alpha_canonical(canon) is canon
+
+
+# --- memoised results live on the node ---
+
+MEMOISED = {
+    "alpha_canonical",
+    "pprint",
+    "_boudol",
+    "_honda_tokoro",
+    "to_normal_form",
+    "deep_canon",
+    "canonical_state",
+    "reduct_candidates",
+}
+
+
+def memoised_functions():
+    """Every function in a picheck module that ``memo`` decorated."""
+    wrapper = memo(lambda p: p).__code__
+    found = {}
+    for module in (syntax, text, encodings, congruence, reduction):
+        for name, value in vars(module).items():
+            if getattr(value, "__code__", None) is wrapper:
+                found[name] = value
+    return found
+
+
+def test_memoised_results_equal_the_undecorated_functions():
+    fns = memoised_functions()
+    assert set(fns) == MEMOISED
+    corpus = list(generate_terms(GeneratorConfig(max_nodes=3)))
+    terms = corpus + [encode(t, scheme) for scheme in EncodingScheme for t in corpus]
+    for t in terms:
+        for fn in fns.values():
+            stored = fn(t)
+            afresh = fn.__wrapped__(t)
+            if isinstance(stored, Process):
+                assert afresh is stored, (fn.__name__, pprint(t))
+            else:
+                assert afresh == stored, (fn.__name__, pprint(t))
+            rebuilt = type(t)(*(getattr(t, f) for f in t.__match_args__))
+            assert fn(rebuilt) is stored, (fn.__name__, pprint(t))
+
+
+def test_no_module_level_caches_remain():
+    for info in pkgutil.iter_modules(picheck.__path__):
+        module = importlib.import_module(f"picheck.{info.name}")
+        for name, value in vars(module).items():
+            assert not hasattr(value, "cache_info"), f"{info.name}.{name}"
+    for name, fn in vars(reduction).items():
+        if inspect.isfunction(fn) and not name.startswith("_"):
+            assert "unfold_depth" not in inspect.signature(fn).parameters, name
