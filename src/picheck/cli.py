@@ -80,6 +80,15 @@ def _count(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """argparse type of ``--count``: an empty corpus would pass every
+    criterion without checking anything."""
+    value = _count(text)
+    if value == 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {value}")
+    return value
+
+
 def _scheme(label: str) -> EncodingScheme:
     try:
         return SCHEME_NAMES[label]
@@ -397,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="user-name alphabet, one letter each (default xy)")
         p.add_argument("--seed", type=int, default=0,
                        help="random-mode seed (default 0)")
-        p.add_argument("--count", type=_count, default=None,
+        p.add_argument("--count", type=_positive, default=None,
                        help="random mode: number of terms (default: exhaustive)")
 
     gen = sub.add_parser("gen", help="print the term corpus, one term per line")

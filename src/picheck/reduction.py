@@ -93,32 +93,16 @@ def _contract(nf: NormalForm, i: int, j: int) -> Process:
     return _rebuild(nf.restricted, rest)
 
 
-def _unguarded_on(p: Process, v: Name) -> int:
-    """Unguarded prefixes whose subject is v; never looks under a prefix."""
-    match p:
-        case Output(subject=s):
-            return 1 if s == v else 0
-        case Input(subject=s):
-            return 1 if s == v else 0
-        case Par(left=l, right=r):
-            return _unguarded_on(l, v) + _unguarded_on(r, v)
-        case Restrict(binder=b, body=body):
-            return 0 if b == v else _unguarded_on(body, v)
-        case Repl(body=body):
-            return _unguarded_on(body, v)
-    return 0
-
-
 def _inert_ok(nf: NormalForm, i: int, j: int) -> bool:
     """A step is inert when it is the only thing its restricted channel can
     ever do: output carries no continuation, the channel is used by exactly
-    the two reacting prefixes, and it vanishes from the result."""
+    the two reacting prefixes, and it vanishes from the result.  No other
+    component may have the channel free, which also rules out any third
+    unguarded prefix on it."""
     out = nf.components[i]
     inp = nf.components[j]
     v = out.subject
     if v not in nf.restricted or out.cont != NIL:
-        return False
-    if sum(_unguarded_on(c, v) for c in nf.components) != 2:
         return False
     for k, c in enumerate(nf.components):
         if k != i and k != j and v in free_names(c):
@@ -212,65 +196,6 @@ def _contains_success(p: Process) -> bool:
     return p._ok
 
 
-def _bfs(
-    p: Process,
-    check: Callable[[Process], Outcome],
-    step_budget: int,
-    state_cap: int,
-) -> tuple[Trace | None, bool, bool, int, int]:
-    """Breadth-first search for a state passing ``check``.
-
-    Returns (trace to a passing state or None, whether any check was
-    inconclusive, whether exploration was truncated, states seen, depth).
-    """
-    root = canonical_state(p)
-    states: dict[Process, Process] = {root: p}
-    parent: dict[Process, tuple[Process, TraceStep] | None] = {root: None}
-    any_inconclusive = False
-    truncated = False
-
-    def trace_to(key: Process) -> Trace:
-        steps = []
-        cur = key
-        while parent[cur] is not None:
-            pk, st = parent[cur]
-            steps.append(st)
-            cur = pk
-        steps.reverse()
-        return Trace(p, tuple(steps))
-
-    outcome = check(p)
-    if outcome is Outcome.HOLDS:
-        return Trace(p), any_inconclusive, truncated, 1, 0
-    if outcome is Outcome.INCONCLUSIVE:
-        any_inconclusive = True
-    frontier = [root]
-    depth = 0
-    while frontier and depth < step_budget:
-        nxt = []
-        for k in frontier:
-            for q, rd in reduct_candidates(states[k]):
-                qk = canonical_state(q)
-                if qk in states:
-                    continue
-                if len(states) >= state_cap:
-                    truncated = True
-                    continue
-                states[qk] = q
-                parent[qk] = (k, TraceStep(states[k], q, rd))
-                outcome = check(q)
-                if outcome is Outcome.HOLDS:
-                    return trace_to(qk), any_inconclusive, truncated, len(states), depth + 1
-                if outcome is Outcome.INCONCLUSIVE:
-                    any_inconclusive = True
-                nxt.append(qk)
-        frontier = nxt
-        depth += 1
-    if frontier:
-        truncated = True
-    return None, any_inconclusive, truncated, len(states), depth
-
-
 def reduces_to(
     p: Process,
     q: Process,
@@ -285,18 +210,14 @@ def reduces_to(
     eq_budget = eq_budget or EqBudget()
     fn_q = free_names(q)
 
-    def check(t: Process) -> Outcome:
+    def goal(t: Process) -> Outcome:
         # Congruence preserves free names, so a mismatch is a definite no.
         if free_names(t) != fn_q:
             return Outcome.VIOLATED
         return struct_eq_bounded(t, q, eq_budget).outcome
 
-    trace, any_inc, truncated, n_states, depth = _bfs(p, check, step_budget, state_cap)
-    if trace is not None:
-        return verdicts.holds(witness=trace, steps=len(trace), states=n_states)
-    if truncated or any_inc:
-        return verdicts.inconclusive(witness=(p, q), states=n_states, depth=depth)
-    return verdicts.violated(witness=(p, q), states=n_states, depth=depth)
+    graph = explore(p, goal=goal, step_budget=step_budget, state_cap=state_cap)
+    return _goal_verdict(graph, (p, q))
 
 
 def may_succeed(
@@ -309,15 +230,23 @@ def may_succeed(
     if not _contains_success(p):
         return verdicts.violated(witness=p, states=0, depth=0)
 
-    def check(t: Process) -> Outcome:
+    def goal(t: Process) -> Outcome:
         return Outcome.HOLDS if has_success(t) else Outcome.VIOLATED
 
-    trace, _, truncated, n_states, depth = _bfs(p, check, step_budget, state_cap)
-    if trace is not None:
+    graph = explore(p, goal=goal, step_budget=step_budget, state_cap=state_cap)
+    return _goal_verdict(graph, p)
+
+
+def _goal_verdict(graph: ReductionGraph, witness) -> Verdict:
+    """Holds with the trace to the state the goal accepted; Violated only
+    when the whole reachable graph was seen and every answer was definite."""
+    n_states = len(graph.states)
+    if graph.found is not None:
+        trace = graph.trace_to(graph.found)
         return verdicts.holds(witness=trace, steps=len(trace), states=n_states)
-    if truncated:
-        return verdicts.inconclusive(witness=p, states=n_states, depth=depth)
-    return verdicts.violated(witness=p, states=n_states, depth=depth)
+    if graph.truncated or graph.inconclusive:
+        return verdicts.inconclusive(witness=witness, states=n_states, depth=graph.depth)
+    return verdicts.violated(witness=witness, states=n_states, depth=graph.depth)
 
 
 def diverges_bounded(
@@ -362,7 +291,7 @@ def diverges_bounded(
         if grows and term_size(t) > 2 * term_size(p) + 16:
             return "unknown"
         if remaining == 0:
-            status[key] = max(0, status.get(key, 0) if isinstance(st, int) else 0)
+            status[key] = 0
             return "unknown"
         visited += 1
         if visited > state_cap:
@@ -380,8 +309,9 @@ def diverges_bounded(
                 any_unknown = True
         path_keys.discard(key)
         if any_unknown:
-            prev = status.get(key)
-            status[key] = max(remaining, prev) if isinstance(prev, int) else remaining
+            # The entry status was None or below ``remaining``, and no deeper
+            # call writes a key on the path.
+            status[key] = remaining
             return "unknown"
         status[key] = "term"
         return "term"
@@ -396,30 +326,59 @@ def diverges_bounded(
 
 @dataclass
 class ReductionGraph:
-    """Bounded forward exploration: canonical states, edges, truncation flag."""
+    """Bounded forward exploration: canonical states, edges, truncation flag.
+
+    ``parents`` maps each state to the (parent state, redex) that first
+    reached it, None for the root.  ``found`` is the first state a goal
+    accepted, and ``inconclusive`` whether the goal ever answered
+    Inconclusive.
+    """
 
     root: Process
     states: dict
     edges: dict
-    truncated: bool
-    depth: int
+    parents: dict
+    truncated: bool = False
+    depth: int = 0
+    found: Process | None = None
+    inconclusive: bool = False
+
+    def trace_to(self, key: Process) -> Trace:
+        """The steps that first reached ``key`` from the root."""
+        states = self.states
+        steps = []
+        while (link := self.parents[key]) is not None:
+            parent, rd = link
+            steps.append(TraceStep(states[parent], states[key], rd))
+            key = parent
+        steps.reverse()
+        return Trace(states[self.root], tuple(steps))
 
 
 def explore(
     p: Process,
     *,
+    goal: Callable[[Process], Outcome] | None = None,
     step_budget: int = 64,
     state_cap: int = 10000,
     size_cap: int | None = None,
 ) -> ReductionGraph:
-    """Forward exploration up to the budgets.  ``size_cap`` stops expanding
-    states larger than that many nodes (marking the graph truncated): only
+    """Breadth-first exploration up to the budgets.
+
+    ``goal``, when given, is asked about each state when it is first
+    reached, and the search stops at the first state it Holds on, leaving
+    the rest of the graph unexplored.  ``size_cap`` stops expanding states
+    larger than that many nodes (marking the graph truncated): only
     replication can grow a term, so runaway growth signals an infinite
     graph, and cutting it early never changes a definite answer because
     every caller treats a truncated graph as Inconclusive."""
     root = canonical_state(p)
     states: dict[Process, Process] = {root: p}
     edges: dict[Process, tuple] = {}
+    parents: dict[Process, tuple | None] = {root: None}
+    graph = ReductionGraph(root, states, edges, parents)
+    if goal is not None and _accepts(graph, goal, root):
+        return graph
     truncated = False
     frontier = [root]
     depth = 0
@@ -431,7 +390,7 @@ def explore(
                 edges[k] = ()
                 continue
             succ_keys = []
-            for q, _ in reduct_candidates(states[k]):
+            for q, rd in reduct_candidates(states[k]):
                 qk = canonical_state(q)
                 succ_keys.append(qk)
                 if qk not in states:
@@ -439,10 +398,24 @@ def explore(
                         truncated = True
                         continue
                     states[qk] = q
+                    parents[qk] = (k, rd)
+                    if goal is not None and _accepts(graph, goal, qk):
+                        graph.truncated, graph.depth = truncated, depth + 1
+                        return graph
                     nxt.append(qk)
             edges[k] = tuple(dict.fromkeys(succ_keys))
         frontier = nxt
         depth += 1
-    if frontier:
-        truncated = True
-    return ReductionGraph(root=root, states=states, edges=edges, truncated=truncated, depth=depth)
+    graph.truncated, graph.depth = truncated or bool(frontier), depth
+    return graph
+
+
+def _accepts(graph: ReductionGraph, goal: Callable[[Process], Outcome], key: Process) -> bool:
+    """Ask ``goal`` about a newly reached state; True when it Holds."""
+    outcome = goal(graph.states[key])
+    if outcome is Outcome.HOLDS:
+        graph.found = key
+        return True
+    if outcome is Outcome.INCONCLUSIVE:
+        graph.inconclusive = True
+    return False

@@ -31,6 +31,11 @@ form, normal form, canonical state, reducts, printing, encoding) are
 decorated with ``memo``, which keeps each result on the node it was computed
 from.  There is no global cache and no eviction: a result lives as long as
 its node, which is the whole process.
+
+Substitution and renaming share one capture-avoiding walker:
+``substitute(p, old, new)`` is ``apply_renaming(p, {old: new})``.  The
+walker keeps subterms without a renamed free name as they are, and renames a
+binder, into the fresh space, only when a renamed name would be captured.
 """
 
 from __future__ import annotations
@@ -341,33 +346,7 @@ def substitute(p: Process, old: Name, new: Name) -> Process:
     """
     if old == new or old not in free_names(p):
         return p
-    match p:
-        case Output(subject=s, obj=o, cont=c):
-            return Output(
-                new if s == old else s,
-                new if o == old else o,
-                substitute(c, old, new),
-            )
-        case Input(subject=s, binder=b, cont=c):
-            s2 = new if s == old else s
-            if b == old:
-                return Input(s2, b, c)
-            if b == new and old in free_names(c):
-                b2, c2 = _rename_binder(b, c, free_names(c) | {old, new})
-                return Input(s2, b2, substitute(c2, old, new))
-            return Input(s2, b, substitute(c, old, new))
-        case Par(left=l, right=r):
-            return Par(substitute(l, old, new), substitute(r, old, new))
-        case Restrict(binder=b, body=body):
-            if b == old:
-                return p
-            if b == new and old in free_names(body):
-                b2, body2 = _rename_binder(b, body, free_names(body) | {old, new})
-                return Restrict(b2, substitute(body2, old, new))
-            return Restrict(b, substitute(body, old, new))
-        case Repl(body=body):
-            return Repl(substitute(body, old, new))
-    raise TypeError(f"not a process: {p!r}")
+    return _rename(p, {old: new})
 
 
 def apply_renaming(p: Process, sigma: Mapping[Name, Name]) -> Process:
@@ -382,21 +361,24 @@ def apply_renaming(p: Process, sigma: Mapping[Name, Name]) -> Process:
 
 
 def _rename(p: Process, sigma: dict[Name, Name]) -> Process:
-    def img(n: Name) -> Name:
-        return sigma.get(n, n)
+    free = p._free
+    if not sigma.keys() <= free:
+        # Only the names free here are renamed; a subterm with none of them
+        # is kept as it is.
+        if free.isdisjoint(sigma):
+            return p
+        sigma = {k: v for k, v in sigma.items() if k in free}
 
     match p:
-        case Nil() | Success() | Hole():
-            return p
         case Output(subject=s, obj=o, cont=c):
-            return Output(img(s), img(o), _rename(c, sigma))
+            return Output(sigma.get(s, s), sigma.get(o, o), _rename(c, sigma))
         case Par(left=l, right=r):
             return Par(_rename(l, sigma), _rename(r, sigma))
         case Repl(body=body):
             return Repl(_rename(body, sigma))
         case Input(subject=s, binder=b, cont=c):
             b2, c2 = _rename_under_binder(b, c, sigma)
-            return Input(img(s), b2, c2)
+            return Input(sigma.get(s, s), b2, c2)
         case Restrict(binder=b, body=body):
             b2, body2 = _rename_under_binder(b, body, sigma)
             return Restrict(b2, body2)
@@ -404,15 +386,19 @@ def _rename(p: Process, sigma: dict[Name, Name]) -> Process:
 
 
 def _rename_under_binder(b: Name, body: Process, sigma: dict[Name, Name]):
-    inner = {k: v for k, v in sigma.items() if k != b and k in free_names(body)}
-    if not inner:
-        return b, body
-    if any(v == b for v in inner.values()):
+    free = body._free
+    if b in sigma or not sigma.keys() <= free:
+        if free.isdisjoint(sigma):
+            return b, body
+        sigma = {k: v for k, v in sigma.items() if k != b and k in free}
+        if not sigma:
+            return b, body
+    if b in sigma.values():
         # Some renamed free name would be captured by this binder.
-        avoid = free_names(body) | set(inner.values())
+        avoid = free | set(sigma.values())
         b2, body2 = _rename_binder(b, body, avoid)
-        return b2, _rename(body2, inner)
-    return b, _rename(body, inner)
+        return b2, _rename(body2, sigma)
+    return b, _rename(body, sigma)
 
 
 @memo

@@ -315,6 +315,14 @@ def test_negative_count_or_budget_exits_3(capsys, argv):
     assert "must not be negative" in err
 
 
+@pytest.mark.parametrize("command", ["check", "gen"])
+def test_zero_count_exits_3(capsys, command):
+    code, out, err = run(capsys, command, "--count", "0")
+    assert code == 3
+    assert out == ""
+    assert "must be positive" in err
+
+
 def test_parse_error_exits_3(capsys):
     code, _, err = run(capsys, "encode", "x!y")
     assert code == 3

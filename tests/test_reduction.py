@@ -11,12 +11,17 @@ components in place.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from test_syntax import TERMS
 
+from picheck import verdicts
 from picheck.checker import GeneratorConfig, generate_terms
-from picheck.congruence import EqBudget, struct_eq_bounded, struct_eq_s
+from picheck.congruence import EqBudget, canonical_state, struct_eq_bounded, struct_eq_s
 from picheck.encodings import EncodingScheme, encode
 from picheck.reduction import (
     Trace,
+    TraceStep,
+    _contains_success,
     diverges_bounded,
     explore,
     has_success,
@@ -42,6 +47,7 @@ from picheck.syntax import (
     user,
 )
 from picheck.text import parse, pprint
+from picheck.verdicts import Outcome
 
 x, y, z, w = user("x"), user("y"), user("z"), user("w")
 
@@ -350,3 +356,143 @@ def test_explore_respects_state_cap():
     g = explore(p, state_cap=5, step_budget=8)
     assert g.truncated
     assert len(g.states) <= 6
+
+
+# ------------------------------------- goal searches against the old search
+
+
+def ref_bfs(p, check, step_budget, state_cap):
+    """The breadth-first search ``reduces_to`` and ``may_succeed`` ran
+    before they became goals of ``explore``, kept as the reference.
+
+    Returns (trace to a passing state or None, whether any check was
+    inconclusive, whether exploration was truncated, states seen, depth).
+    """
+    root = canonical_state(p)
+    states = {root: p}
+    parent = {root: None}
+    any_inconclusive = False
+    truncated = False
+
+    def trace_to(key):
+        steps = []
+        cur = key
+        while parent[cur] is not None:
+            pk, st = parent[cur]
+            steps.append(st)
+            cur = pk
+        steps.reverse()
+        return Trace(p, tuple(steps))
+
+    outcome = check(p)
+    if outcome is Outcome.HOLDS:
+        return Trace(p), any_inconclusive, truncated, 1, 0
+    if outcome is Outcome.INCONCLUSIVE:
+        any_inconclusive = True
+    frontier = [root]
+    depth = 0
+    while frontier and depth < step_budget:
+        nxt = []
+        for k in frontier:
+            for q, rd in reduct_candidates(states[k]):
+                qk = canonical_state(q)
+                if qk in states:
+                    continue
+                if len(states) >= state_cap:
+                    truncated = True
+                    continue
+                states[qk] = q
+                parent[qk] = (k, TraceStep(states[k], q, rd))
+                outcome = check(q)
+                if outcome is Outcome.HOLDS:
+                    return trace_to(qk), any_inconclusive, truncated, len(states), depth + 1
+                if outcome is Outcome.INCONCLUSIVE:
+                    any_inconclusive = True
+                nxt.append(qk)
+        frontier = nxt
+        depth += 1
+    if frontier:
+        truncated = True
+    return None, any_inconclusive, truncated, len(states), depth
+
+
+def ref_reduces_to(p, q, step_budget, state_cap):
+    fn_q = free_names(q)
+
+    def check(t):
+        if free_names(t) != fn_q:
+            return Outcome.VIOLATED
+        return struct_eq_bounded(t, q, EqBudget()).outcome
+
+    trace, any_inc, truncated, n_states, depth = ref_bfs(p, check, step_budget, state_cap)
+    if trace is not None:
+        return verdicts.holds(witness=trace, steps=len(trace), states=n_states)
+    if truncated or any_inc:
+        return verdicts.inconclusive(witness=(p, q), states=n_states, depth=depth)
+    return verdicts.violated(witness=(p, q), states=n_states, depth=depth)
+
+
+def ref_may_succeed(p, step_budget, state_cap):
+    if not _contains_success(p):
+        return verdicts.violated(witness=p, states=0, depth=0)
+
+    def check(t):
+        return Outcome.HOLDS if has_success(t) else Outcome.VIOLATED
+
+    trace, _, truncated, n_states, depth = ref_bfs(p, check, step_budget, state_cap)
+    if trace is not None:
+        return verdicts.holds(witness=trace, steps=len(trace), states=n_states)
+    if truncated:
+        return verdicts.inconclusive(witness=p, states=n_states, depth=depth)
+    return verdicts.violated(witness=p, states=n_states, depth=depth)
+
+
+BUDGETS = ((64, 10000), (1, 10000), (64, 2))  # (step_budget, state_cap)
+
+
+def _with_encodings(corpus):
+    return corpus + [encode(t, scheme) for scheme in EncodingScheme for t in corpus]
+
+
+def test_goal_searches_equal_the_reference_search():
+    # Verdicts are compared whole: outcome, witness (every trace step) and
+    # budget use.  The tight budgets cut the larger graphs short.
+    seen = set()
+    for t in _with_encodings(list(generate_terms(GeneratorConfig(max_nodes=3)))):
+        # Goals: each reachable state, an unreachable one with t's free
+        # names (a congruence test that can be Inconclusive), and 0.
+        goals = list(explore(t).states.values()) + [Par(t, t), NIL]
+        for step_budget, state_cap in BUDGETS:
+            got = may_succeed(t, step_budget=step_budget, state_cap=state_cap)
+            assert got == ref_may_succeed(t, step_budget, state_cap), pprint(t)
+            for q in goals:
+                got = reduces_to(t, q, step_budget=step_budget, state_cap=state_cap)
+                assert got == ref_reduces_to(t, q, step_budget, state_cap), (pprint(t), pprint(q))
+                seen.add((got.outcome, got.budget().get("steps", 0) > 0))
+    assert seen >= {(o, False) for o in Outcome} | {(Outcome.HOLDS, True)}
+
+
+def test_may_succeed_equals_the_reference_search_on_success_terms():
+    # No step of a 3-node term reaches a success leaf; the 4-node terms
+    # that have one do, in up to 3 steps.
+    seen = set()
+    corpus = [t for t in generate_terms(GeneratorConfig(max_nodes=4)) if _contains_success(t)]
+    for t in _with_encodings(corpus):
+        for step_budget, state_cap in BUDGETS:
+            got = may_succeed(t, step_budget=step_budget, state_cap=state_cap)
+            assert got == ref_may_succeed(t, step_budget, state_cap), pprint(t)
+            seen.add((got.outcome, got.budget().get("steps", 0) > 0))
+    assert seen >= {(o, False) for o in Outcome} | {(Outcome.HOLDS, True)}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(TERMS)
+def test_explore_reaches_success_iff_may_succeed_holds(p):
+    # Both searches visit states in the same order, so a success state in
+    # the graph is found by ``may_succeed`` even when the graph was cut.
+    g = explore(p, state_cap=200)
+    v = may_succeed(p, state_cap=200)
+    if any(has_success(t) for t in g.states.values()):
+        assert v.is_holds, pprint(p)
+    elif not g.truncated:
+        assert v.is_violated, pprint(p)

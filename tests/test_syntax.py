@@ -90,6 +90,61 @@ def test_substitute_capture_avoidance():
     assert free_names(got) == {x, y}
 
 
+def ref_substitute(p, old, new):
+    """The walker ``substitute`` had of its own before it became a one-name
+    ``apply_renaming``, kept as the reference."""
+    if old == new or old not in free_names(p):
+        return p
+
+    def rename_binder(binder, body, avoid):
+        nb = fresh_name(avoid | {binder})
+        return nb, ref_substitute(body, binder, nb)
+
+    match p:
+        case Output(subject=s, obj=o, cont=c):
+            return Output(
+                new if s == old else s,
+                new if o == old else o,
+                ref_substitute(c, old, new),
+            )
+        case Input(subject=s, binder=b, cont=c):
+            s2 = new if s == old else s
+            if b == old:
+                return Input(s2, b, c)
+            if b == new and old in free_names(c):
+                b2, c2 = rename_binder(b, c, free_names(c) | {old, new})
+                return Input(s2, b2, ref_substitute(c2, old, new))
+            return Input(s2, b, ref_substitute(c, old, new))
+        case Par(left=l, right=r):
+            return Par(ref_substitute(l, old, new), ref_substitute(r, old, new))
+        case Restrict(binder=b, body=body):
+            if b == old:
+                return p
+            if b == new and old in free_names(body):
+                b2, body2 = rename_binder(b, body, free_names(body) | {old, new})
+                return Restrict(b2, ref_substitute(body2, old, new))
+            return Restrict(b, ref_substitute(body, old, new))
+        case Repl(body=body):
+            return Repl(ref_substitute(body, old, new))
+    raise TypeError(f"not a process: {p!r}")
+
+
+def test_substitute_equals_the_reference_walker():
+    # The same node, fresh binders included: reducts built by substitution
+    # are printed in --json traces.
+    pool = [user(c) for c in "xyzw"] + [fresh(i) for i in range(4)]
+    corpus = list(generate_terms(GeneratorConfig(max_nodes=3)))
+    terms = corpus + [encode(t, scheme) for scheme in EncodingScheme for t in corpus]
+    renamed = 0
+    for t in terms:
+        for old in pool:
+            for new in pool:
+                got = substitute(t, old, new)
+                assert got is ref_substitute(t, old, new), (pprint(t), old, new)
+                renamed += got is not t
+    assert renamed > 0
+
+
 def test_apply_renaming_non_injective_collapse():
     got = apply_renaming(parse("x!y.0"), {x: w, y: w})
     assert got == parse("w!w.0")
@@ -103,6 +158,12 @@ def test_apply_renaming_through_binder():
 def test_apply_renaming_capture_forces_fresh_binder():
     got = apply_renaming(parse("new z. x!z.0"), {x: z})
     assert alpha_eq(got, parse("new q. z!q.0"))
+
+
+def test_apply_renaming_fresh_binder_avoids_every_image():
+    # The renamed binder must not be #0, the image of w below it.
+    got = apply_renaming(parse("new z. (x!z.0 | w!w.0)"), {x: z, w: fresh(0)})
+    assert free_names(got) == {z, fresh(0)}
 
 
 def test_alpha_canonical_identifies_binder_spellings():
