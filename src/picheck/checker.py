@@ -32,6 +32,7 @@ from .reduction import (
     TraceStep,
     diverges_bounded,
     explore,
+    growth_cap,
     has_success,
     inert_reducts,
     may_succeed,
@@ -58,7 +59,6 @@ from .syntax import (
     is_async,
     names,
     substitute,
-    term_size,
     user,
 )
 from .verdicts import Verdict
@@ -210,8 +210,6 @@ class CriterionReport:
     holds: int
     violated: int
     inconclusive: int
-    violations: tuple[tuple[Process, Verdict], ...]
-    inconclusives: tuple[Process, ...]
     elapsed: float
 
     @property
@@ -324,16 +322,24 @@ def check_op_completeness(
     return verdicts.holds(witness=tuple(details), steps=k)
 
 
-def _reaches(edges: dict, seeds: set) -> set:
-    """Keys that can reach a seed along the edge relation."""
+def _predecessors(edges: dict) -> dict:
+    """Each key's predecessors along the edge relation."""
+    preds: dict = {}
+    for key, succs in edges.items():
+        for sk in succs:
+            preds.setdefault(sk, []).append(key)
+    return preds
+
+
+def _reaches(preds: dict, seeds: set) -> set:
+    """Keys that can reach a seed: one backward search over ``preds``."""
     good = set(seeds)
-    changed = True
-    while changed:
-        changed = False
-        for key, succs in edges.items():
-            if key not in good and any(sk in good for sk in succs):
+    stack = list(seeds)
+    while stack:
+        for key in preds.get(stack.pop(), ()):
+            if key not in good:
                 good.add(key)
-                changed = True
+                stack.append(key)
     return good
 
 
@@ -357,7 +363,7 @@ def check_op_soundness(
         s,
         step_budget=step_budget,
         state_cap=state_cap,
-        size_cap=2 * term_size(s) + 16,
+        size_cap=growth_cap(s),
     )
     if src.truncated:
         return verdicts.inconclusive(witness=s, states=len(src.states))
@@ -366,7 +372,7 @@ def check_op_soundness(
         enc_s,
         step_budget=step_budget,
         state_cap=state_cap,
-        size_cap=2 * term_size(enc_s) + 16,
+        size_cap=growth_cap(enc_s),
     )
     if tgt.truncated:
         return verdicts.inconclusive(witness=s, states=len(tgt.states))
@@ -384,11 +390,12 @@ def check_op_soundness(
                 break
             if v.is_inconclusive:
                 maybe.add(key)
-    covered = _reaches(tgt.edges, marked)
+    preds = _predecessors(tgt.edges)
+    covered = _reaches(preds, marked)
     bad = [k for k in tgt.states if k not in covered]
     if not bad:
         return verdicts.holds(states=len(tgt.states), sources=len(images))
-    excusable = _reaches(tgt.edges, maybe)
+    excusable = _reaches(preds, maybe)
     if any(k in excusable for k in bad):
         return verdicts.inconclusive(witness=s, states=len(tgt.states))
     return verdicts.violated(
@@ -648,12 +655,11 @@ def run_suite(
     translate: Translate | None = None,
     fail_fast: bool = False,
     on_verdict: Callable[[Criterion, EncodingScheme, Process, Verdict], None] | None = None,
-    max_kept: int = 50,
 ) -> list[CriterionReport]:
     """Run criteria over the whole corpus for each scheme, in a fixed order.
 
-    Reports count verdicts per criterion and keep witnesses for every
-    Violated entry (and a capped sample of Inconclusive terms).
+    Reports count verdicts per criterion; ``on_verdict`` sees each verdict,
+    witness included, as it is given.
     """
     budgets = budgets or SuiteBudgets()
     terms = list(generate_terms(cfg))
@@ -662,8 +668,6 @@ def run_suite(
         for criterion in criteria:
             start = time.perf_counter()
             n_holds = n_violated = n_inconclusive = 0
-            violations: list[tuple[Process, Verdict]] = []
-            unknowns: list[Process] = []
             for term in terms:
                 v = _dispatch(criterion, term, scheme, budgets, translate, cfg)
                 if on_verdict is not None:
@@ -672,14 +676,10 @@ def run_suite(
                     n_holds += 1
                 elif v.is_violated:
                     n_violated += 1
-                    if len(violations) < max_kept:
-                        violations.append((term, v))
                     if fail_fast:
                         break
                 else:
                     n_inconclusive += 1
-                    if len(unknowns) < max_kept:
-                        unknowns.append(term)
             reports.append(
                 CriterionReport(
                     criterion=criterion,
@@ -687,8 +687,6 @@ def run_suite(
                     holds=n_holds,
                     violated=n_violated,
                     inconclusive=n_inconclusive,
-                    violations=tuple(violations),
-                    inconclusives=tuple(unknowns),
                     elapsed=time.perf_counter() - start,
                 )
             )

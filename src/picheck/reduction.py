@@ -51,7 +51,6 @@ class RedexDescriptor:
     sent: Name
     binder: Name
     subject_restricted: bool
-    expose_level: int
     inert: bool
 
 
@@ -121,7 +120,7 @@ def reduct_candidates(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]
     results = []
     seen = set()
     exposed = expose(p)
-    for level, variant in enumerate((p,) if exposed == p else (p, exposed)):
+    for variant in (p,) if exposed == p else (p, exposed):
         nf = to_normal_form(variant)
         outs = [(i, c) for i, c in enumerate(nf.components) if isinstance(c, Output)]
         ins = [(j, c) for j, c in enumerate(nf.components) if isinstance(c, Input)]
@@ -139,7 +138,6 @@ def reduct_candidates(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]
                     sent=out.obj,
                     binder=inp.binder,
                     subject_restricted=out.subject in nf.restricted,
-                    expose_level=level,
                     inert=_inert_ok(nf, i, j),
                 )
                 results.append((q, rd))
@@ -171,7 +169,6 @@ def inert_reducts(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]:
                 sent=out.obj,
                 binder=inp.binder,
                 subject_restricted=True,
-                expose_level=0,
                 inert=True,
             )
             results.append((q, rd))
@@ -249,6 +246,13 @@ def _goal_verdict(graph: ReductionGraph, witness) -> Verdict:
     return verdicts.violated(witness=witness, states=n_states, depth=graph.depth)
 
 
+def growth_cap(p: Process) -> int:
+    """Size past which a search from ``p`` stops expanding a state.  Only
+    replication grows a term, so a state twice as large (plus 16) signals
+    runaway growth; callers read a cut state as unknown, never as an answer."""
+    return 2 * term_size(p) + 16
+
+
 def diverges_bounded(
     p: Process,
     *,
@@ -261,10 +265,8 @@ def diverges_bounded(
     state; Violated when every path provably terminates within the budget;
     Inconclusive otherwise.  Replication-free terms always resolve: each step
     consumes two prefixes, so the budget is raised to the term's size, which
-    bounds its prefix count.  A state more than twice the size of ``p`` (plus
-    16) is not expanded but counted unknown, the size cap ``explore``'s
-    callers use: only replication grows a term, and the growth would
-    otherwise run away.
+    bounds its prefix count.  A state larger than ``growth_cap(p)`` is not
+    expanded but counted unknown.
     """
     grows = has_replication(p)
     if not grows:
@@ -288,7 +290,7 @@ def diverges_bounded(
         if not succs:
             status[key] = "term"
             return "term"
-        if grows and term_size(t) > 2 * term_size(p) + 16:
+        if grows and term_size(t) > growth_cap(p):
             return "unknown"
         if remaining == 0:
             status[key] = 0

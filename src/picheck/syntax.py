@@ -9,22 +9,20 @@ Terms and names are hash-consed (Filliatre & Conchon, "Type-safe modular
 hash-consing", ML Workshop 2006).  Every constructor looks its arguments up
 in one process-lifetime intern table and returns the node built before for
 them, so structurally equal terms, and equal names, are the same object:
-equality is identity, and memo caches keyed by terms pay one hash and one
-identity compare.  Build nodes only through their constructors.
+equality and hashing are by identity, as for any plain object.  Build nodes
+only through their constructors.  The table keys a node by its tag and its
+children, and holds every node it ever built.  Lookup and insertion are not
+locked, so nodes must not be built from several threads at once.
 
-The table keys a node by the ``id()`` of each child.  That is sound only
-because the table holds every node it ever built strongly, and every node
-holds its children: no child is ever freed, so no id is ever reused.
-Lookup and insertion are not locked, so nodes must not be built from
-several threads at once.
+An identity hash follows the address, so the iteration order of a set of
+nodes or names changes from run to run.  No output may follow it: sort by
+``Name.sort_key``, take a ``min`` or ``max``, or test membership only.
 
-A node's hash is structural, computed once at construction from its
-children's hashes and never from an address, so set and dict order depend
-only on the terms and PYTHONHASHSEED.  Each node also stores facts that
-its constructor derives from its children's facts, without a walk: free
-names (interned sets, shared between nodes), size, whether it contains a
-replication or a success leaf, and whether it is asynchronous.  Nodes are
-immutable: assigning an attribute raises.
+Each node also stores facts that its constructor derives from its
+children's facts, without a walk: free names (interned sets, shared between
+nodes), size, whether it contains a replication or a success leaf, and
+whether it is asynchronous.  Nodes are immutable: assigning an attribute
+raises.
 
 Functions of one term that are asked the same question many times (alpha
 form, normal form, canonical state, reducts, printing, encoding) are
@@ -46,7 +44,7 @@ from typing import Callable, Iterable, Mapping, TypeVar
 USER = "user"
 FRESH = "fresh"
 
-# The intern table: (tag, child ids or leaf values) -> the one node or name,
+# The intern table: (tag, children or leaf values) -> the one node or name,
 # and each free-name set -> itself.
 _TABLE: dict = {}
 
@@ -62,9 +60,6 @@ class _Interned:
         # Setters of the fields, then the facts, in ``_intern``'s argument
         # order; slot descriptors bypass the refusing ``__setattr__``.
         cls._put = tuple(getattr(cls, s).__set__ for s in cls.__match_args__ + cls._facts)
-
-    def __hash__(self):
-        return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -91,15 +86,14 @@ def _intern(cls, key: tuple, *values):
 class Name(_Interned):
     """A channel name: ``space`` is "user" or "fresh", ``key`` a str or int."""
 
-    __slots__ = ("space", "key", "_hash")
+    __slots__ = ("space", "key")
     __match_args__ = ("space", "key")
-    _facts = ("_hash",)
 
     def __new__(cls, space: str, key: str | int):
         k = ("name", space, key)
         name = _TABLE.get(k)
         if name is None:
-            name = _intern(cls, k, space, key, hash((space, key)))
+            name = _intern(cls, k, space, key)
         return name
 
     @property
@@ -128,7 +122,7 @@ EMPTY: NameSet = frozenset()
 
 
 class Process(_Interned):
-    """Base class for term nodes: interned, immutable, hashed by structure.
+    """Base class for term nodes: interned, immutable, hashed by identity.
 
     Facts: ``_free`` free names, ``_size`` constructor count, ``_repl`` a
     replication occurs, ``_ok`` a success leaf occurs (guarded or not),
@@ -136,7 +130,7 @@ class Process(_Interned):
     holds the results of ``memo`` functions: ``_NO_MEMO`` until the first.
     """
 
-    __slots__ = ("_hash", "_free", "_size", "_repl", "_ok", "_async", "_memo")
+    __slots__ = ("_free", "_size", "_repl", "_ok", "_async", "_memo")
     _facts = __slots__
 
 
@@ -179,7 +173,7 @@ def _names(s: frozenset) -> frozenset:
 def _leaf(cls, key: tuple, fields: tuple, size: int, ok: bool):
     node = _TABLE.get(key)
     if node is None:
-        node = _intern(cls, key, *fields, hash(key), EMPTY, size, False, ok, True, _NO_MEMO)
+        node = _intern(cls, key, *fields, EMPTY, size, False, ok, True, _NO_MEMO)
     return node
 
 
@@ -212,13 +206,13 @@ class Output(Process):
     __match_args__ = ("subject", "obj", "cont")
 
     def __new__(cls, subject: Name, obj: Name, cont: Process):
-        key = ("out", id(subject), id(obj), id(cont))
+        key = ("out", subject, obj, cont)
         node = _TABLE.get(key)
         if node is None:
             fc = cont._free
             free = fc if subject in fc and obj in fc else _names(fc | {subject, obj})
             node = _intern(
-                cls, key, subject, obj, cont, hash(("out", subject, obj, cont)),
+                cls, key, subject, obj, cont,
                 free, cont._size + 1, cont._repl, cont._ok, cont is NIL, _NO_MEMO,
             )
         return node
@@ -229,14 +223,14 @@ class Input(Process):
     __match_args__ = ("subject", "binder", "cont")
 
     def __new__(cls, subject: Name, binder: Name, cont: Process):
-        key = ("in", id(subject), id(binder), id(cont))
+        key = ("in", subject, binder, cont)
         node = _TABLE.get(key)
         if node is None:
             free = cont._free
             if binder in free or subject not in free:
                 free = _names((free - {binder}) | {subject})
             node = _intern(
-                cls, key, subject, binder, cont, hash(("in", subject, binder, cont)),
+                cls, key, subject, binder, cont,
                 free, cont._size + 1, cont._repl, cont._ok, cont._async, _NO_MEMO,
             )
         return node
@@ -247,13 +241,13 @@ class Par(Process):
     __match_args__ = ("left", "right")
 
     def __new__(cls, left: Process, right: Process):
-        key = ("par", id(left), id(right))
+        key = ("par", left, right)
         node = _TABLE.get(key)
         if node is None:
             lf, rf = left._free, right._free
             free = lf if rf <= lf else rf if lf <= rf else _names(lf | rf)
             node = _intern(
-                cls, key, left, right, hash(("par", left, right)),
+                cls, key, left, right,
                 free, left._size + right._size + 1, left._repl or right._repl,
                 left._ok or right._ok, left._async and right._async, _NO_MEMO,
             )
@@ -265,14 +259,14 @@ class Restrict(Process):
     __match_args__ = ("binder", "body")
 
     def __new__(cls, binder: Name, body: Process):
-        key = ("new", id(binder), id(body))
+        key = ("new", binder, body)
         node = _TABLE.get(key)
         if node is None:
             free = body._free
             if binder in free:
                 free = _names(free - {binder})
             node = _intern(
-                cls, key, binder, body, hash(("new", binder, body)),
+                cls, key, binder, body,
                 free, body._size + 1, body._repl, body._ok, body._async, _NO_MEMO,
             )
         return node
@@ -283,11 +277,11 @@ class Repl(Process):
     __match_args__ = ("body",)
 
     def __new__(cls, body: Process):
-        key = ("repl", id(body))
+        key = ("repl", body)
         node = _TABLE.get(key)
         if node is None:
             node = _intern(
-                cls, key, body, hash(("repl", body)),
+                cls, key, body,
                 body._free, body._size + 1, True, body._ok, body._async, _NO_MEMO,
             )
         return node

@@ -9,7 +9,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from picheck import checker
 from picheck import (
     DEFAULT_CRITERIA,
     NIL,
@@ -233,6 +236,61 @@ def test_op_soundness_flags_dropped_forwarder():
     s = parse("x!y.0 | x(z).0")
     broken = mutant_encoder(B, Mutation.DROP_FORWARDER)
     assert check_op_soundness(s, B, translate=broken).is_violated
+
+
+def _fixpoint_reaches(edges: dict, seeds: set) -> set:
+    """The pass-until-stable closure that the backward search replaced."""
+    good = set(seeds)
+    changed = True
+    while changed:
+        changed = False
+        for key, succs in edges.items():
+            if key not in good and any(sk in good for sk in succs):
+                good.add(key)
+                changed = True
+    return good
+
+
+def test_reaches_agrees_with_the_fixpoint_on_every_soundness_graph(monkeypatch):
+    # Record each graph op-soundness explores and the seeds it closes over.
+    graphs, calls = [], []
+    explore, reaches = checker.explore, checker._reaches
+
+    def recording_explore(p, **kw):
+        graphs.append(explore(p, **kw))
+        return graphs[-1]
+
+    def recording_reaches(preds, seeds):
+        calls.append((graphs[-1], set(seeds)))
+        return reaches(preds, seeds)
+
+    monkeypatch.setattr(checker, "explore", recording_explore)
+    monkeypatch.setattr(checker, "_reaches", recording_reaches)
+    for scheme in SCHEMES:
+        for s in generate_terms(GeneratorConfig(max_nodes=3)):
+            check_op_soundness(s, scheme)
+    monkeypatch.undo()
+    assert any(seeds for _, seeds in calls)
+    targets = {id(g): g for g, _ in calls}
+    assert len(targets) > 100
+    for g, seeds in calls:
+        preds = checker._predecessors(g.edges)
+        assert reaches(preds, seeds) == _fixpoint_reaches(g.edges, seeds)
+    # Every single state as the only seed, too.
+    for g in targets.values():
+        preds = checker._predecessors(g.edges)
+        for key in g.states:
+            assert reaches(preds, {key}) == _fixpoint_reaches(g.edges, {key})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 11), st.lists(st.integers(0, 11), max_size=4).map(tuple)),
+    st.sets(st.integers(0, 11), max_size=3),
+)
+def test_reaches_agrees_with_the_fixpoint_on_random_graphs(edges, seeds):
+    preds = checker._predecessors(edges)
+    assert checker._reaches(preds, seeds) == _fixpoint_reaches(edges, seeds)
 
 
 # --- divergence ---
