@@ -275,6 +275,13 @@ def _criteria(selector: str) -> tuple[Criterion, ...]:
 
 
 def _generator_config(args) -> GeneratorConfig:
+    # Each character becomes a name, and the parser reads a name only when
+    # it starts with a letter or '_'.
+    unreadable = [c for c in args.names if not (c.isalpha() or c == "_")]
+    if unreadable:
+        raise UsageError(
+            f"--names takes letters or '_', not {', '.join(map(repr, unreadable))}"
+        )
     alphabet = tuple(user(c) for c in args.names)
     if not alphabet:
         raise UsageError("--names must list at least one letter")

@@ -198,7 +198,8 @@ def fill(ctx: Context, args: tuple[Process, ...]) -> Process:
                 arg = args[i]
                 bad = bound & free_names(arg)
                 if bad:
-                    raise ValueError(f"context binders {bad} would capture the plug")
+                    listed = ", ".join(str(n) for n in sorted(bad, key=Name.sort_key))
+                    raise ValueError(f"context binders {listed} would capture the plug")
                 return arg
             case Nil() | Success():
                 return t
@@ -229,8 +230,6 @@ class Mutation(Enum):
 
 
 def _mutated_out(scheme: EncodingScheme, mutation: Mutation) -> Clause:
-    base = _OUT[scheme]
-
     def drop_forwarder(x, y, body, extra=frozenset()):
         avoid = free_names(body) | {x, y} | extra
         if scheme is EncodingScheme.BOUDOL:
@@ -276,7 +275,7 @@ def _mutated_out(scheme: EncodingScheme, mutation: Mutation) -> Clause:
                 else EncodingScheme.BOUDOL
             )
             return _OUT[other]
-    return base
+    raise ValueError(f"not a Mutation: {mutation!r}")
 
 
 def mutant_encoder(scheme: EncodingScheme, mutation: Mutation) -> Callable[[Process], Process]:

@@ -9,8 +9,8 @@ prefix from each of at most two components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from dataclasses import dataclass
+from typing import Callable
 
 from . import verdicts
 from .congruence import (
@@ -109,24 +109,24 @@ def _inert_ok(nf: NormalForm, i: int, j: int) -> bool:
     return v not in free_names(substitute(inp.cont, inp.binder, out.obj))
 
 
-@memo
-def reduct_candidates(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]:
-    """All one-step reducts modulo congruence, deduplicated by canonical state.
-
-    Pairs every unguarded output with every unguarded input on the same
-    subject, in ``p`` and then in ``p`` with its unguarded replications
-    exposed once, which is enough (see the module docstring).
-    """
+def _steps(
+    variants: tuple[Process, ...], inert_only: bool
+) -> tuple[tuple[Process, RedexDescriptor], ...]:
+    """Contract every unguarded output against every unguarded input on the
+    same subject, in each variant's normal form in turn, keeping one reduct
+    per canonical state.  ``inert_only`` drops non-inert pairs before they
+    are contracted."""
     results = []
     seen = set()
-    exposed = expose(p)
-    for variant in (p,) if exposed == p else (p, exposed):
+    for variant in variants:
         nf = to_normal_form(variant)
-        outs = [(i, c) for i, c in enumerate(nf.components) if isinstance(c, Output)]
-        ins = [(j, c) for j, c in enumerate(nf.components) if isinstance(c, Input)]
-        for i, out in outs:
-            for j, inp in ins:
-                if out.subject != inp.subject:
+        for i, out in enumerate(nf.components):
+            if not isinstance(out, Output):
+                continue
+            for j, inp in enumerate(nf.components):
+                if not isinstance(inp, Input) or inp.subject != out.subject:
+                    continue
+                if inert_only and not _inert_ok(nf, i, j):
                     continue
                 q = _contract(nf, i, j)
                 key = canonical_state(q)
@@ -138,41 +138,29 @@ def reduct_candidates(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]
                     sent=out.obj,
                     binder=inp.binder,
                     subject_restricted=out.subject in nf.restricted,
-                    inert=_inert_ok(nf, i, j),
+                    inert=inert_only or _inert_ok(nf, i, j),
                 )
                 results.append((q, rd))
     return tuple(results)
+
+
+@memo
+def reduct_candidates(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]:
+    """All one-step reducts modulo congruence, deduplicated by canonical state.
+
+    Pairs every unguarded output with every unguarded input on the same
+    subject, in ``p`` and then in ``p`` with its unguarded replications
+    exposed once, which is enough (see the module docstring).
+    """
+    exposed = expose(p)
+    return _steps((p,) if exposed == p else (p, exposed), inert_only=False)
 
 
 def inert_reducts(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]:
     """Inert steps available on an asynchronous term, without any unfolding."""
     if not is_async(p):
         raise ValueError("inert steps are defined on asynchronous terms only")
-    nf = to_normal_form(p)
-    results = []
-    seen = set()
-    for i, out in enumerate(nf.components):
-        if not isinstance(out, Output):
-            continue
-        for j, inp in enumerate(nf.components):
-            if not isinstance(inp, Input) or inp.subject != out.subject:
-                continue
-            if not _inert_ok(nf, i, j):
-                continue
-            q = _contract(nf, i, j)
-            key = canonical_state(q)
-            if key in seen:
-                continue
-            seen.add(key)
-            rd = RedexDescriptor(
-                subject=out.subject,
-                sent=out.obj,
-                binder=inp.binder,
-                subject_restricted=True,
-                inert=True,
-            )
-            results.append((q, rd))
-    return tuple(results)
+    return _steps((p,), inert_only=True)
 
 
 def has_success(p: Process) -> bool:
@@ -259,71 +247,58 @@ def diverges_bounded(
     budget: int = 16,
     state_cap: int = 10000,
 ) -> Verdict:
-    """Bounded divergence probe.
+    """Bounded divergence probe: is there an infinite reduction from ``p``?
 
-    Holds with a looping trace when some reduction path revisits a canonical
-    state; Violated when every path provably terminates within the budget;
-    Inconclusive otherwise.  Replication-free terms always resolve: each step
-    consumes two prefixes, so the budget is raised to the term's size, which
-    bounds its prefix count.  A state larger than ``growth_cap(p)`` is not
-    expanded but counted unknown.
+    A replication-free term never diverges: each step consumes two prefixes
+    and nothing unfolds.  Any other term is explored within ``state_cap``
+    states and ``growth_cap(p)`` nodes per state, until every state up to
+    ``budget`` steps from ``p`` has had its successors listed (one level
+    more than ``budget``, so that a last state with no successors does not
+    truncate the graph).  The graph's states are congruence classes and its
+    edges are steps between them, so a cycle in the explored edges is a real
+    infinite reduction: Holds, with a trace from ``p`` that comes back to a
+    state met earlier on it.  When the graph is complete and acyclic, it is
+    finite and every path in it ends: Violated.  Otherwise Inconclusive.
     """
-    grows = has_replication(p)
-    if not grows:
-        budget = max(budget, term_size(p) + 1)
-    status: dict[Process, object] = {}
-    path_keys: set[Process] = set()
-    path_steps: list[TraceStep] = []
-    visited = 0
-    cap_hit = False
+    if not has_replication(p):
+        return verdicts.violated(witness=p, states=0, depth=0)
+    graph = explore(p, step_budget=budget + 1, state_cap=state_cap, size_cap=growth_cap(p))
+    n_states = len(graph.states)
+    loop = _cycle(graph.edges, graph.root)
+    if loop is not None:
+        states = graph.states
+        steps = []
+        for k, qk in zip(loop, loop[1:]):
+            rd = next(rd for q, rd in reduct_candidates(states[k]) if canonical_state(q) == qk)
+            steps.append(TraceStep(states[k], states[qk], rd))
+        return verdicts.holds(witness=Trace(p, tuple(steps)), steps=len(steps), states=n_states)
+    if graph.truncated:
+        return verdicts.inconclusive(witness=p, states=n_states, depth=graph.depth)
+    return verdicts.violated(witness=p, states=n_states, depth=graph.depth)
 
-    def dfs(t: Process, key: Process, remaining: int) -> str:
-        nonlocal visited, cap_hit
-        if key in path_keys:
-            return "div"
-        st = status.get(key)
-        if st == "term":
-            return "term"
-        if isinstance(st, int) and st >= remaining:
-            return "unknown"
-        succs = reduct_candidates(t)
-        if not succs:
-            status[key] = "term"
-            return "term"
-        if grows and term_size(t) > growth_cap(p):
-            return "unknown"
-        if remaining == 0:
-            status[key] = 0
-            return "unknown"
-        visited += 1
-        if visited > state_cap:
-            cap_hit = True
-            return "unknown"
-        path_keys.add(key)
-        any_unknown = False
-        for q, rd in succs:
-            path_steps.append(TraceStep(t, q, rd))
-            result = dfs(q, canonical_state(q), remaining - 1)
-            if result == "div":
-                return "div"
-            path_steps.pop()
-            if result == "unknown":
-                any_unknown = True
-        path_keys.discard(key)
-        if any_unknown:
-            # The entry status was None or below ``remaining``, and no deeper
-            # call writes a key on the path.
-            status[key] = remaining
-            return "unknown"
-        status[key] = "term"
-        return "term"
 
-    result = dfs(p, canonical_state(p), budget)
-    if result == "div":
-        return verdicts.holds(witness=Trace(p, tuple(path_steps)), depth=budget)
-    if result == "term" and not cap_hit:
-        return verdicts.violated(witness=p, depth=budget, states=visited)
-    return verdicts.inconclusive(witness=p, depth=budget, states=visited)
+def _cycle(edges: dict, root: Process) -> list[Process] | None:
+    """Keys of a path from ``root`` whose last key occurs earlier on it, or
+    None when no cycle is reachable.  ``path`` holds the keys being
+    expanded and ``done`` those from which no cycle is reachable."""
+    path = [root]
+    on_path = {root}
+    succs = [iter(edges.get(root, ()))]
+    done = set()
+    while succs:
+        for k in succs[-1]:
+            if k in on_path:
+                return path + [k]
+            if k not in done:
+                path.append(k)
+                on_path.add(k)
+                succs.append(iter(edges.get(k, ())))
+                break
+        else:
+            done.add(path[-1])
+            on_path.discard(path.pop())
+            succs.pop()
+    return None
 
 
 @dataclass

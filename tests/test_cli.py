@@ -223,6 +223,14 @@ def test_gen_random_mode_is_deterministic(capsys):
     assert len(first[1].splitlines()) == 5
 
 
+def test_gen_names_read_back_as_the_same_terms(capsys):
+    code, out, _ = run(capsys, "gen", "--names", "_\u00e9", "--max-nodes", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert "_!\u00e9.0" in lines
+    assert [pprint(parse(line)) for line in lines] == lines
+
+
 # --- check ---
 
 
@@ -336,6 +344,15 @@ def test_zero_count_exits_3(capsys, command):
     assert code == 3
     assert out == ""
     assert "must be positive" in err
+
+
+@pytest.mark.parametrize("command", ["check", "gen"])
+@pytest.mark.parametrize("names", ["x1", "x#", "x y", "x-", "x'"])
+def test_names_the_parser_cannot_read_back_exit_3(capsys, command, names):
+    code, out, err = run(capsys, command, "--names", names, "--max-nodes", "1")
+    assert code == 3
+    assert out == ""
+    assert "--names takes letters or '_'" in err
 
 
 def test_parse_error_exits_3(capsys):

@@ -194,6 +194,17 @@ def test_fill_rejects_capture():
         fill(ctx, (Output(z, z, NIL),))
 
 
+def test_fill_lists_the_capturing_binders_in_name_order():
+    # User names sort before fresh ones; the set itself iterates in address order.
+    names = [fresh(1), user("h"), a, fresh(0), z, user("d"), x, y]
+    ctx, plug = Hole(0), NIL
+    for n in names:
+        ctx, plug = Restrict(n, ctx), Par(Output(n, n, NIL), plug)
+    with pytest.raises(ValueError) as caught:
+        fill(Context(ctx, frozenset()), (plug,))
+    assert str(caught.value) == "context binders a, d, h, x, y, z, #0, #1 would capture the plug"
+
+
 def test_fill_with_declared_binder_captures_on_purpose():
     ctx = Context(Input(x, z, Hole(0)), frozenset({z}))
     assert fill(ctx, (Output(z, z, NIL),)) == Input(x, z, Output(z, z, NIL))
@@ -245,3 +256,10 @@ def test_images_are_asynchronous_and_keep_free_names_on_generated_terms(p):
         image = encode(p, scheme)
         assert is_async(image), pprint(p)
         assert free_names(image) == free_names(p), pprint(p)
+
+
+def test_mutant_encoder_rejects_a_label_that_is_not_a_mutation():
+    # The label's string, where the enum member belongs, used to fall
+    # through to the real encoder's output clause.
+    with pytest.raises(ValueError, match="not a Mutation"):
+        mutant_encoder(BOUDOL, Mutation.DROP_FORWARDER.value)

@@ -15,15 +15,26 @@ from hypothesis import given, settings
 from test_syntax import TERMS
 
 from picheck import verdicts
-from picheck.checker import GeneratorConfig, generate_terms
-from picheck.congruence import EqBudget, canonical_state, struct_eq_bounded, struct_eq_s
+from picheck.checker import GeneratorConfig, asyncify, generate_terms
+from picheck.congruence import (
+    EqBudget,
+    canonical_state,
+    expose,
+    struct_eq_bounded,
+    struct_eq_s,
+    to_normal_form,
+)
 from picheck.encodings import EncodingScheme, encode
 from picheck.reduction import (
+    RedexDescriptor,
     Trace,
     TraceStep,
     _contains_success,
+    _contract,
+    _inert_ok,
     diverges_bounded,
     explore,
+    growth_cap,
     has_success,
     inert_reducts,
     may_succeed,
@@ -42,8 +53,10 @@ from picheck.syntax import (
     alpha_eq,
     free_names,
     has_replication,
+    is_async,
     par_all,
     substitute,
+    term_size,
     user,
 )
 from picheck.text import parse, pprint
@@ -496,3 +509,206 @@ def test_explore_reaches_success_iff_may_succeed_holds(p):
         assert v.is_holds, pprint(p)
     elif not g.truncated:
         assert v.is_violated, pprint(p)
+
+
+# ------------------------- divergence and steps against the old code
+
+
+def ref_reduct_candidates(p):
+    """``reduct_candidates`` before it shared its redex loop with
+    ``inert_reducts``, kept as the reference."""
+    results = []
+    seen = set()
+    exposed = expose(p)
+    for variant in (p,) if exposed == p else (p, exposed):
+        nf = to_normal_form(variant)
+        outs = [(i, c) for i, c in enumerate(nf.components) if isinstance(c, Output)]
+        ins = [(j, c) for j, c in enumerate(nf.components) if isinstance(c, Input)]
+        for i, out in outs:
+            for j, inp in ins:
+                if out.subject != inp.subject:
+                    continue
+                q = _contract(nf, i, j)
+                key = canonical_state(q)
+                if key in seen:
+                    continue
+                seen.add(key)
+                rd = RedexDescriptor(
+                    subject=out.subject,
+                    sent=out.obj,
+                    binder=inp.binder,
+                    subject_restricted=out.subject in nf.restricted,
+                    inert=_inert_ok(nf, i, j),
+                )
+                results.append((q, rd))
+    return tuple(results)
+
+
+def ref_inert_reducts(p):
+    """``inert_reducts`` with its own redex loop, kept as the reference."""
+    if not is_async(p):
+        raise ValueError("inert steps are defined on asynchronous terms only")
+    nf = to_normal_form(p)
+    results = []
+    seen = set()
+    for i, out in enumerate(nf.components):
+        if not isinstance(out, Output):
+            continue
+        for j, inp in enumerate(nf.components):
+            if not isinstance(inp, Input) or inp.subject != out.subject:
+                continue
+            if not _inert_ok(nf, i, j):
+                continue
+            q = _contract(nf, i, j)
+            key = canonical_state(q)
+            if key in seen:
+                continue
+            seen.add(key)
+            rd = RedexDescriptor(
+                subject=out.subject,
+                sent=out.obj,
+                binder=inp.binder,
+                subject_restricted=True,
+                inert=True,
+            )
+            results.append((q, rd))
+    return tuple(results)
+
+
+def ref_diverges_bounded(p, budget, state_cap=10000):
+    """The depth-first divergence search ``diverges_bounded`` ran before it
+    read its answer from ``explore``'s graph, kept as the reference."""
+    grows = has_replication(p)
+    if not grows:
+        budget = max(budget, term_size(p) + 1)
+    status = {}
+    path_keys = set()
+    path_steps = []
+    visited = 0
+    cap_hit = False
+
+    def dfs(t, key, remaining):
+        nonlocal visited, cap_hit
+        if key in path_keys:
+            return "div"
+        st = status.get(key)
+        if st == "term":
+            return "term"
+        if isinstance(st, int) and st >= remaining:
+            return "unknown"
+        succs = reduct_candidates(t)
+        if not succs:
+            status[key] = "term"
+            return "term"
+        if grows and term_size(t) > growth_cap(p):
+            return "unknown"
+        if remaining == 0:
+            status[key] = 0
+            return "unknown"
+        visited += 1
+        if visited > state_cap:
+            cap_hit = True
+            return "unknown"
+        path_keys.add(key)
+        any_unknown = False
+        for q, rd in succs:
+            path_steps.append(TraceStep(t, q, rd))
+            result = dfs(q, canonical_state(q), remaining - 1)
+            if result == "div":
+                return "div"
+            path_steps.pop()
+            if result == "unknown":
+                any_unknown = True
+        path_keys.discard(key)
+        if any_unknown:
+            status[key] = remaining
+            return "unknown"
+        status[key] = "term"
+        return "term"
+
+    result = dfs(p, canonical_state(p), budget)
+    if result == "div":
+        return verdicts.holds(witness=Trace(p, tuple(path_steps)), depth=budget)
+    if result == "term" and not cap_hit:
+        return verdicts.violated(witness=p, depth=budget, states=visited)
+    return verdicts.inconclusive(witness=p, depth=budget, states=visited)
+
+
+def test_steps_equal_the_reference_enumerators():
+    # Whole (reduct, redex) tuples, order included.  Encodings and their
+    # reducts expose replications; asynchronous random terms and their
+    # reducts carry the inert steps.
+    terms = _with_encodings(list(generate_terms(GeneratorConfig(max_nodes=3))))
+    cfg = GeneratorConfig(max_nodes=8, random_count=2000, seed=8)
+    terms += [asyncify(t) for t in generate_terms(cfg)]
+    terms += [q for t in terms for q, _ in reduct_candidates(t)]
+    inert_seen = 0
+    for t in terms:
+        assert reduct_candidates(t) == ref_reduct_candidates(t), pprint(t)
+        if is_async(t):
+            assert inert_reducts(t) == ref_inert_reducts(t), pprint(t)
+            inert_seen += bool(inert_reducts(t))
+    assert inert_seen >= 20
+    assert any(expose(t) != t and reduct_candidates(t) for t in terms)
+
+
+def _assert_loop_witness(p, v):
+    """A chained trace from ``p`` of real steps, ending on a state
+    canonically equal to the source of one of its steps."""
+    trace = v.witness
+    assert isinstance(trace, Trace) and trace.start is p and trace.steps
+    source = p
+    for st in trace.steps:
+        assert st.source is source
+        target_key = canonical_state(st.target)
+        redexes = [rd for q, rd in reduct_candidates(source) if canonical_state(q) == target_key]
+        assert st.redex in redexes
+        source = st.target
+    assert canonical_state(trace.end) in {canonical_state(st.source) for st in trace.steps}
+
+
+def _divergence_against_the_reference(terms, budgets):
+    """Compare outcomes with the reference probe: each must be the same or
+    decide what the reference left Inconclusive.  Returns the outcome pairs
+    seen and the decided (term, budget, outcome) triples."""
+    pairs = set()
+    decided = []
+    for t in terms:
+        for budget in budgets:
+            got = diverges_bounded(t, budget=budget)
+            ref = ref_diverges_bounded(t, budget)
+            if got.is_holds:
+                _assert_loop_witness(t, got)
+            if got.outcome is not ref.outcome:
+                assert ref.is_inconclusive, (pprint(t), budget, ref.outcome, got.outcome)
+                decided.append((pprint(t), budget, got.outcome))
+            pairs.add((ref.outcome, got.outcome))
+    return pairs, decided
+
+
+def test_divergence_equals_the_reference_probe_on_the_3_node_corpus():
+    terms = _with_encodings(list(generate_terms(GeneratorConfig(max_nodes=3))))
+    pairs, _ = _divergence_against_the_reference(terms, (16,))
+    assert pairs == {(Outcome.VIOLATED, Outcome.VIOLATED)}
+
+
+def test_divergence_equals_the_reference_probe_on_replicating_4_node_terms():
+    # At budget 2 the reference cannot follow the three-step loops of the
+    # Boudol images of the eight self-reacting replications such as
+    # !(x!x.0 | x(x).0); the graph search, which lists the successors of
+    # the states two steps away, closes them.
+    corpus = [t for t in generate_terms(GeneratorConfig(max_nodes=4)) if has_replication(t)]
+    pairs, decided = _divergence_against_the_reference(_with_encodings(corpus), (2, 16))
+    assert {(o, o) for o in Outcome} <= pairs
+    assert len(decided) == 8
+    assert {(budget, outcome) for _, budget, outcome in decided} == {(2, Outcome.HOLDS)}
+
+
+def test_divergence_witness_takes_the_looping_branch():
+    # The first step consumes x!y.0 for good; only the second one loops.
+    p = parse("x!y.0 | x(w).0 | !x(z).x!z.0")
+    (first, _), _ = reduct_candidates(p)
+    assert diverges_bounded(first, budget=16).is_violated
+    v = diverges_bounded(p, budget=16)
+    assert v.is_holds
+    _assert_loop_witness(p, v)
