@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain, count
 from typing import Callable, Iterable, Iterator
 
 from . import verdicts
@@ -24,8 +24,8 @@ from .encodings import (
     anchor_steps,
     context_for,
     decompose,
-    encode,
     fill,
+    translator,
 )
 from .reduction import (
     Trace,
@@ -222,9 +222,7 @@ class CriterionReport:
 
 
 def _translator(scheme: EncodingScheme, translate: Translate | None) -> Translate:
-    if translate is not None:
-        return translate
-    return lambda t: encode(t, scheme)
+    return translator(scheme) if translate is None else translate
 
 
 def check_compositionality(s: Process, scheme: EncodingScheme) -> Verdict:
@@ -234,13 +232,15 @@ def check_compositionality(s: Process, scheme: EncodingScheme) -> Verdict:
     op, args = decompose(s)
     if not args:
         return verdicts.holds()
-    lhs = encode(s, scheme)
-    enc_args = tuple(encode(a, scheme) for a in args)
+    tr = translator(scheme)
+    lhs = tr(s)
+    enc_args = tuple(tr(a) for a in args)
     n = free_names(s)
     try:
         exact = fill(context_for(op, n, scheme), enc_args) == lhs
-        e1 = fresh_name(names(s))
-        e2 = fresh_name(names(s) | {e1})
+        taken = names(s)
+        e1 = fresh_name(taken)
+        e2 = fresh_name(taken | {e1})
         wider = fill(context_for(op, n | {e1, e2}, scheme), enc_args)
         relaxed = alpha_eq(wider, lhs)
     except ValueError:
@@ -450,10 +450,17 @@ def check_success_sensitiveness(
     )
 
 
+def _spare_name(taken: Iterable[Name]) -> Name:
+    """A user name not in ``taken``: the first free letter of "wqrstuv",
+    and past those w0, w1, w2, ... in turn."""
+    keys = {n.key for n in taken}
+    spellings = chain("wqrstuv", (f"w{i}" for i in count()))
+    return user(next(k for k in spellings if k not in keys))
+
+
 def _default_sigmas(cfg: GeneratorConfig) -> tuple[dict[Name, Name], ...]:
     alphabet = list(cfg.name_alphabet)
-    taken = {n.key for n in alphabet}
-    extra = next(user(c) for c in "wqrstuv" if c not in taken)
+    extra = _spare_name(alphabet)
     sigmas = [
         {},
         dict(zip(alphabet, reversed(alphabet))),
@@ -492,8 +499,7 @@ def check_lemma_suite(
     if _unguarded_success_by_decomposition(enc) != has_success(enc):
         failed.append("success-decomposition-target")
     pool = list(self_alphabet(s))
-    taken = {n.key for n in pool}
-    pool.append(next(user(c) for c in "wqrstuv" if c not in taken))
+    pool.append(_spare_name(pool))
     for old in pool:
         for new in pool:
             if not alpha_eq(tr(substitute(s, old, new)), substitute(enc, old, new)):

@@ -92,37 +92,57 @@ _IN: dict[EncodingScheme, Clause] = {
 }
 
 
+def _encode_node(
+    t: Process, go: Callable[[Process], Process], out_clause: Clause, in_clause: Clause
+) -> Process:
+    """One clause of the translation: ``t``'s operator around ``go`` of its
+    subterms.  No clause passes an ``extra`` avoid set, so ``go(c)`` of a
+    real scheme is the encoding of ``c`` itself."""
+    match t:
+        case Nil() | Success() | Hole():
+            return t
+        case Output(subject=x, obj=y, cont=c):
+            return out_clause(x, y, go(c), frozenset())
+        case Input(subject=x, binder=z, cont=c):
+            return in_clause(x, z, go(c), frozenset())
+        case Par(left=l, right=r):
+            return Par(go(l), go(r))
+        case Restrict(binder=b, body=body):
+            return Restrict(b, go(body))
+        case Repl(body=body):
+            return Repl(go(body))
+    raise TypeError(f"cannot encode {t!r}")
+
+
 def _encode_with(p: Process, out_clause: Clause, in_clause: Clause) -> Process:
+    """The translation by the given clauses, memoised nowhere."""
+
     def go(t: Process) -> Process:
-        match t:
-            case Nil() | Success() | Hole():
-                return t
-            case Output(subject=x, obj=y, cont=c):
-                return out_clause(x, y, go(c), frozenset())
-            case Input(subject=x, binder=z, cont=c):
-                return in_clause(x, z, go(c), frozenset())
-            case Par(left=l, right=r):
-                return Par(go(l), go(r))
-            case Restrict(binder=b, body=body):
-                return Restrict(b, go(body))
-            case Repl(body=body):
-                return Repl(go(body))
-        raise TypeError(f"cannot encode {t!r}")
+        return _encode_node(t, go, out_clause, in_clause)
 
     return go(p)
 
 
+# The real schemes recurse through themselves, so every subterm's encoding
+# is kept on its node: a renamed or substituted term shares most subterms
+# with the original, and their encodings are not redone.
 @memo
 def _boudol(p: Process) -> Process:
-    return _encode_with(p, _boudol_out, _boudol_in)
+    return _encode_node(p, _boudol, _boudol_out, _boudol_in)
 
 
 @memo
 def _honda_tokoro(p: Process) -> Process:
-    return _encode_with(p, _ht_out, _ht_in)
+    return _encode_node(p, _honda_tokoro, _ht_out, _ht_in)
 
 
 _TRANSLATORS = {EncodingScheme.BOUDOL: _boudol, EncodingScheme.HONDA_TOKORO: _honda_tokoro}
+
+
+def translator(scheme: EncodingScheme) -> Callable[[Process], Process]:
+    """The scheme's encoder as a function of one term; ``encode`` with the
+    scheme already looked up."""
+    return _TRANSLATORS[scheme]
 
 
 def encode(p: Process, scheme: EncodingScheme) -> Process:

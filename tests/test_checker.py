@@ -358,6 +358,21 @@ def test_lemma_suite_names_the_failing_property():
     assert "free-names" in failed
 
 
+def test_spare_name_continues_past_the_seven_letters():
+    letters = [user(c) for c in "wqrstuv"]
+    assert checker._spare_name([user("w"), user("x")]) is user("q")
+    assert checker._spare_name(letters) is user("w0")
+    assert checker._spare_name(letters + [user("w0")]) is user("w1")
+
+
+def test_lemma_suite_and_default_sigmas_when_every_spare_letter_is_taken():
+    s = parse("w!q.r!s.t!u.v!v.0")
+    for scheme in SCHEMES:
+        assert check_lemma_suite(s, scheme).is_holds
+    cfg = GeneratorConfig(max_nodes=1, name_alphabet=tuple(user(c) for c in "wqrstuv"))
+    assert checker._default_sigmas(cfg)[-1] == {user("v"): user("w0")}
+
+
 # --- confluence checks for the asynchronous fragment ---
 
 

@@ -246,6 +246,15 @@ def test_check_text_mode_prints_one_line_per_criterion(capsys):
     assert all("violated=0" in line for line in lines)
 
 
+def test_check_with_every_spare_letter_in_the_alphabet(capsys):
+    code, out, _ = run(
+        capsys, "check", "--names", "wqrstuv", "--max-nodes", "1",
+        "--criteria", "name-invariance,lemma-suite",
+    )
+    assert code == 0
+    assert all(line.startswith("PASS") for line in out.splitlines())
+
+
 def test_check_json_does_not_depend_on_the_hash_seed():
     # Nodes and names hash by identity, that is by address: the run under
     # the system allocator puts them at other addresses, so any output that

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import picheck
-from picheck import congruence, encodings, reduction, syntax, text
+from picheck import checker, congruence, encodings, reduction, syntax, text
 from picheck.checker import GeneratorConfig, generate_terms
 from picheck.encodings import EncodingScheme, encode
 from picheck.reduction import _contains_success
@@ -406,6 +406,115 @@ def test_memoised_results_equal_the_undecorated_functions():
                 assert afresh == stored, (fn.__name__, pprint(t))
             rebuilt = type(t)(*(getattr(t, f) for f in t.__match_args__))
             assert fn(rebuilt) is stored, (fn.__name__, pprint(t))
+
+
+def ref_rename(p, sigma):
+    """Capture-avoiding renaming without any memo: the map is cut down to
+    the free names at every node, and a binder that would capture an image
+    becomes the least fresh name outside the body's free names, the images
+    and itself."""
+    sigma = {k: v for k, v in sigma.items() if k != v and k in free_names(p)}
+    if not sigma:
+        return p
+
+    def under(b, body):
+        inner = {k: v for k, v in sigma.items() if k != b and k in free_names(body)}
+        if b in inner.values():
+            nb = fresh_name(free_names(body) | set(inner.values()) | {b})
+            b, body = nb, ref_rename(body, {b: nb})
+        return b, ref_rename(body, inner)
+
+    match p:
+        case Output(subject=s, obj=o, cont=c):
+            return Output(sigma.get(s, s), sigma.get(o, o), ref_rename(c, sigma))
+        case Input(subject=s, binder=b, cont=c):
+            return Input(sigma.get(s, s), *under(b, c))
+        case Par(left=l, right=r):
+            return Par(ref_rename(l, sigma), ref_rename(r, sigma))
+        case Restrict(binder=b, body=body):
+            return Restrict(*under(b, body))
+        case Repl(body=body):
+            return Repl(ref_rename(body, sigma))
+    raise TypeError(f"not a process: {p!r}")
+
+
+def corpus_and_encodings(cfg):
+    corpus = list(generate_terms(cfg))
+    return corpus + [encode(t, scheme) for scheme in EncodingScheme for t in corpus]
+
+
+def renaming_cases():
+    """(term, sigma) for the 3-node corpus and both its encodings: every
+    (old, new) pair of each term's lemma-suite pool, and every default
+    sigma of ``picheck check``."""
+    cfg = GeneratorConfig(max_nodes=3)
+    sigmas = checker._default_sigmas(cfg)
+    cases = []
+    for t in corpus_and_encodings(cfg):
+        pool = list(checker.self_alphabet(t))
+        pool.append(checker._spare_name(pool))
+        cases += [(t, {old: new}) for old in pool for new in pool]
+        cases += [(t, sigma) for sigma in sigmas]
+    return cases
+
+
+def assert_renamed(t, sigma):
+    want = ref_rename(t, sigma)
+    assert apply_renaming(t, sigma) is want, (pprint(t), sigma)
+    if len(sigma) == 1:
+        [(old, new)] = sigma.items()
+        assert substitute(t, old, new) is want, (pprint(t), old, new)
+
+
+def assert_memo_functions(t):
+    for fn in (alpha_canonical, pprint, encodings._boudol, encodings._honda_tokoro):
+        stored = fn(t)
+        assert fn.__wrapped__(t) == stored, (fn.__name__, pprint(t))
+
+
+def test_memoised_renaming_equals_the_unmemoised_walker():
+    # Renamings and ``memo`` functions share each node's dict, so both are
+    # checked after each other in two orders.  An entry keyed without the
+    # map's images, or under a ``memo`` function's key, gives some wrong node.
+    cases = renaming_cases()
+    for t, sigma in cases:
+        assert_renamed(t, sigma)
+        assert_memo_functions(t)
+    for t, sigma in reversed(cases):
+        assert_memo_functions(t)
+        assert_renamed(t, sigma)
+
+
+def test_renaming_memo_depends_only_on_the_map_on_free_names():
+    spare, unused = user("q"), user("r")
+    for t, sigma in renaming_cases():
+        assert spare not in free_names(t)
+        got = apply_renaming(t, sigma)
+        widened = {n: n for n in sorted(free_names(t), key=Name.sort_key)}
+        widened.update(reversed(list(sigma.items())))
+        widened[spare] = unused
+        assert apply_renaming(t, widened) is got, (pprint(t), sigma)
+
+
+def test_memoised_encoders_equal_the_unmemoised_walk():
+    for t in corpus_and_encodings(GeneratorConfig(max_nodes=3)):
+        assert_encodings(t)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(TERMS)
+def test_memoised_encoders_equal_the_unmemoised_walk_on_generated_terms(p):
+    assert_encodings(p)
+
+
+def assert_encodings(t):
+    clauses = {
+        encodings._boudol: (encodings._boudol_out, encodings._boudol_in),
+        encodings._honda_tokoro: (encodings._ht_out, encodings._ht_in),
+    }
+    for memoised, (out_clause, in_clause) in clauses.items():
+        want = encodings._encode_with(t, out_clause, in_clause)
+        assert memoised(t) is want, (memoised.__name__, pprint(t))
 
 
 def test_no_module_level_caches_remain():
