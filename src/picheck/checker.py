@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, chain, count
+from itertools import chain, count
 from typing import Callable, Iterable, Iterator
 
 from . import verdicts
@@ -22,6 +22,7 @@ from .congruence import EqBudget, struct_eq_bounded, to_normal_form
 from .encodings import (
     EncodingScheme,
     anchor_steps,
+    asyncify,
     context_for,
     decompose,
     fill,
@@ -44,13 +45,11 @@ from .syntax import (
     SUCCESS,
     Input,
     Name,
-    Nil,
     Output,
     Par,
     Process,
     Repl,
     Restrict,
-    Success,
     alpha_canonical,
     alpha_eq,
     apply_renaming,
@@ -72,8 +71,6 @@ class GeneratorConfig:
 
     max_nodes: int = 4
     name_alphabet: tuple[Name, ...] = (user("x"), user("y"))
-    allow_replication: bool = True
-    allow_success: bool = True
     random_count: int | None = None
     seed: int = 0
 
@@ -92,7 +89,7 @@ def _exhaustive(cfg: GeneratorConfig) -> Iterator[Process]:
                 seen.add(key)
                 layer.append(t)
 
-        if k == 1 and cfg.allow_success:
+        if k == 1:
             add(SUCCESS)
         for cont in by_size[k - 1]:
             for x in alphabet:
@@ -103,8 +100,7 @@ def _exhaustive(cfg: GeneratorConfig) -> Iterator[Process]:
         for body in by_size[k - 1]:
             for b in alphabet:
                 add(Restrict(b, body))
-            if cfg.allow_replication:
-                add(Repl(body))
+            add(Repl(body))
         for i in range(k):
             for l in by_size[i]:
                 for r in by_size[k - 1 - i]:
@@ -113,25 +109,21 @@ def _exhaustive(cfg: GeneratorConfig) -> Iterator[Process]:
         yield from layer
 
 
+# The random corpus's node kinds and their weights 3, 3, 3, 2, 1, 1, 1,
+# accumulated once here rather than by rng.choices on every draw; the stream
+# of draws is the same.
+_KINDS = ("out", "in", "par", "new", "nil", "repl", "ok")
+_CUM_WEIGHTS = (3, 6, 9, 11, 12, 13, 14)
+
+
 def _random(cfg: GeneratorConfig) -> Iterator[Process]:
     alphabet = list(cfg.name_alphabet)
-    kinds = ["out", "in", "par", "new", "nil"]
-    weights = [3, 3, 3, 2, 1]
-    if cfg.allow_replication:
-        kinds.append("repl")
-        weights.append(1)
-    if cfg.allow_success:
-        kinds.append("ok")
-        weights.append(1)
-    # Accumulated once here, not by rng.choices on every draw; the stream of
-    # draws is the same.
-    cum_weights = list(accumulate(weights))
     rng = random.Random(cfg.seed)
 
     def go(budget: int) -> Process:
         if budget <= 0:
             return NIL
-        kind = rng.choices(kinds, cum_weights=cum_weights)[0]
+        kind = rng.choices(_KINDS, cum_weights=_CUM_WEIGHTS)[0]
         match kind:
             case "nil":
                 return NIL
@@ -158,10 +150,13 @@ def generate_terms(cfg: GeneratorConfig) -> Iterator[Process]:
     """Deterministic corpus stream.
 
     Exhaustive mode yields one representative per alpha-class, smallest terms
-    first; random mode yields exactly ``random_count`` terms from the seed.
+    first; random mode yields exactly ``random_count`` terms from the seed,
+    each of 1 to ``max_nodes`` nodes.
     """
     if not cfg.name_alphabet:
         raise ValueError("name alphabet must not be empty")
+    if cfg.random_count is not None and cfg.max_nodes < 1:
+        raise ValueError("a random corpus needs max_nodes of at least 1")
     if cfg.random_count is None:
         yield from _exhaustive(cfg)
         return
@@ -571,41 +566,19 @@ def check_inert_confluence(s: Process, *, eq_budget: EqBudget | None = None) -> 
     return verdicts.holds()
 
 
-def asyncify(p: Process) -> Process:
-    """Nearest asynchronous term: output continuations run in parallel instead."""
-    match p:
-        case Nil() | Success():
-            return p
-        case Output(subject=x, obj=y, cont=c):
-            rest = asyncify(c)
-            send = Output(x, y, NIL)
-            return send if rest == NIL else Par(send, rest)
-        case Input(subject=x, binder=z, cont=c):
-            return Input(x, z, asyncify(c))
-        case Par(left=l, right=r):
-            return Par(asyncify(l), asyncify(r))
-        case Restrict(binder=b, body=body):
-            return Restrict(b, asyncify(body))
-        case Repl(body=body):
-            return Repl(asyncify(body))
-    raise TypeError(f"cannot asyncify {p!r}")
-
-
 def _dispatch(
     criterion: Criterion,
     term: Process,
     scheme: EncodingScheme,
     budgets: SuiteBudgets,
     translate: Translate | None,
-    cfg: GeneratorConfig,
+    sigmas: tuple[dict[Name, Name], ...],
 ) -> Verdict:
     match criterion:
         case Criterion.COMPOSITIONALITY:
-            if translate is not None:
-                raise ValueError("compositionality is defined for the built-in encoders")
             return check_compositionality(term, scheme)
         case Criterion.NAME_INVARIANCE:
-            for sigma in _default_sigmas(cfg):
+            for sigma in sigmas:
                 v = check_name_invariance(term, sigma, scheme, translate)
                 if not v.is_holds:
                     return v
@@ -643,9 +616,7 @@ def _dispatch(
                 translate=translate,
             )
         case Criterion.LEMMA_SUITE:
-            return check_lemma_suite(
-                term, scheme, sigmas=_default_sigmas(cfg), translate=translate
-            )
+            return check_lemma_suite(term, scheme, sigmas=sigmas, translate=translate)
         case Criterion.BARB_CONFLUENCE:
             return check_barb_confluence(asyncify(term))
         case Criterion.INERT_CONFLUENCE:
@@ -658,16 +629,16 @@ def run_suite(
     schemes: Iterable[EncodingScheme] = tuple(EncodingScheme),
     budgets: SuiteBudgets | None = None,
     criteria: Iterable[Criterion] = DEFAULT_CRITERIA,
-    translate: Translate | None = None,
-    fail_fast: bool = False,
     on_verdict: Callable[[Criterion, EncodingScheme, Process, Verdict], None] | None = None,
 ) -> list[CriterionReport]:
-    """Run criteria over the whole corpus for each scheme, in a fixed order.
+    """Run criteria on the built-in encoders over the whole corpus, for
+    each scheme, in a fixed order.
 
     Reports count verdicts per criterion; ``on_verdict`` sees each verdict,
     witness included, as it is given.
     """
     budgets = budgets or SuiteBudgets()
+    sigmas = _default_sigmas(cfg)
     terms = list(generate_terms(cfg))
     reports = []
     for scheme in schemes:
@@ -675,15 +646,13 @@ def run_suite(
             start = time.perf_counter()
             n_holds = n_violated = n_inconclusive = 0
             for term in terms:
-                v = _dispatch(criterion, term, scheme, budgets, translate, cfg)
+                v = _dispatch(criterion, term, scheme, budgets, None, sigmas)
                 if on_verdict is not None:
                     on_verdict(criterion, scheme, term, v)
                 if v.is_holds:
                     n_holds += 1
                 elif v.is_violated:
                     n_violated += 1
-                    if fail_fast:
-                        break
                 else:
                     n_inconclusive += 1
             reports.append(
@@ -696,8 +665,6 @@ def run_suite(
                     elapsed=time.perf_counter() - start,
                 )
             )
-            if fail_fast and n_violated:
-                return reports
     return reports
 
 
@@ -712,17 +679,18 @@ MUTATION_SCAN_ORDER = (
 def first_violation(
     cfg: GeneratorConfig,
     scheme: EncodingScheme,
-    criteria: Iterable[Criterion] = MUTATION_SCAN_ORDER,
     translate: Translate | None = None,
     budgets: SuiteBudgets | None = None,
 ) -> tuple[Process, Criterion, Verdict] | None:
-    """Scan the corpus term by term, cheapest criteria first, and stop at
-    the first Violated verdict.  Suited to confirming that a deliberately
-    broken encoder is caught without paying for a full suite run."""
+    """Scan the corpus term by term through ``MUTATION_SCAN_ORDER``,
+    cheapest criteria first, and stop at the first Violated verdict.  Suited
+    to confirming that a deliberately broken encoder is caught without
+    paying for a full suite run."""
     budgets = budgets or SuiteBudgets()
+    sigmas = _default_sigmas(cfg)
     for term in generate_terms(cfg):
-        for criterion in criteria:
-            v = _dispatch(criterion, term, scheme, budgets, translate, cfg)
+        for criterion in MUTATION_SCAN_ORDER:
+            v = _dispatch(criterion, term, scheme, budgets, translate, sigmas)
             if v.is_violated:
                 return term, criterion, v
     return None

@@ -20,6 +20,8 @@ import json
 import os
 import sys
 import traceback
+from itertools import chain, count
+from string import ascii_lowercase
 from typing import Iterable
 
 from .checker import (
@@ -104,23 +106,22 @@ def _term(src: str) -> Process:
 
 
 def _relabel(p: Process) -> Process:
-    """Rename fresh-space binders to unused user letters so printed normal
-    forms stay inside the concrete grammar."""
-    pool = [
-        user(c)
-        for c in "abcdefghijklmnopqrstuvwxyz"
-        if user(c) not in names(p)
-    ]
+    """Rename fresh-space binders to unused user names so printed normal
+    forms stay inside the concrete grammar: the letters a to z, and past
+    those a0, a1, a2, ... in turn."""
+    taken = names(p)
+    spellings = chain(ascii_lowercase, (f"a{i}" for i in count()))
+    pool = (n for n in map(user, spellings) if n not in taken)
 
     def walk(q: Process) -> Process:
         match q:
-            case Restrict(binder=n, body=b) if n.space == FRESH and pool:
-                new = pool.pop(0)
+            case Restrict(binder=n, body=b) if n.space == FRESH:
+                new = next(pool)
                 return Restrict(new, walk(substitute(b, n, new)))
             case Restrict(binder=n, body=b):
                 return Restrict(n, walk(b))
-            case Input(subject=s, binder=z, cont=c) if z.space == FRESH and pool:
-                new = pool.pop(0)
+            case Input(subject=s, binder=z, cont=c) if z.space == FRESH:
+                new = next(pool)
                 return Input(s, new, walk(substitute(c, z, new)))
             case Input(subject=s, binder=z, cont=c):
                 return Input(s, z, walk(c))
@@ -285,6 +286,8 @@ def _generator_config(args) -> GeneratorConfig:
     alphabet = tuple(user(c) for c in args.names)
     if not alphabet:
         raise UsageError("--names must list at least one letter")
+    if args.count is not None and args.max_nodes < 1:
+        raise UsageError("--max-nodes must be positive in random mode (--count)")
     return GeneratorConfig(
         max_nodes=args.max_nodes,
         name_alphabet=alphabet,

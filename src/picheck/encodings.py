@@ -4,7 +4,8 @@ Both replace a synchronous send with a handshake on fresh bookkeeping
 channels; they differ in who creates the channel and how many exchanges the
 handshake takes (three target steps per source step for the two-level
 protocol, two for the direct one).  Everything except the two prefix forms
-is translated homomorphically.
+is translated homomorphically.  ``asyncify``, the nearest asynchronous
+term, is a third walk by the same per-node clause dispatch.
 
 The module also provides the apparatus the validity checker needs:
 operator decomposition and per-operator target contexts, and deliberately
@@ -134,6 +135,22 @@ def _boudol(p: Process) -> Process:
 @memo
 def _honda_tokoro(p: Process) -> Process:
     return _encode_node(p, _honda_tokoro, _ht_out, _ht_in)
+
+
+def _async_out(x: Name, y: Name, body: Process, extra: frozenset) -> Process:
+    send = Output(x, y, NIL)
+    return send if body is NIL else Par(send, body)
+
+
+def _keep_in(x: Name, z: Name, body: Process, extra: frozenset) -> Process:
+    return Input(x, z, body)
+
+
+@memo
+def asyncify(p: Process) -> Process:
+    """Nearest asynchronous term: output continuations run in parallel
+    instead.  One more clause walk, homomorphic but for the output clause."""
+    return _encode_node(p, asyncify, _async_out, _keep_in)
 
 
 _TRANSLATORS = {EncodingScheme.BOUDOL: _boudol, EncodingScheme.HONDA_TOKORO: _honda_tokoro}

@@ -29,9 +29,7 @@ from .syntax import (
     Output,
     Par,
     Process,
-    Repl,
     Restrict,
-    Success,
     free_names,
     has_replication,
     is_async,
@@ -165,20 +163,7 @@ def inert_reducts(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]:
 
 def has_success(p: Process) -> bool:
     """True when a success leaf sits at an unguarded position."""
-    match p:
-        case Success():
-            return True
-        case Par(left=l, right=r):
-            return has_success(l) or has_success(r)
-        case Restrict(body=body) | Repl(body=body):
-            return has_success(body)
-    return False
-
-
-def _contains_success(p: Process) -> bool:
-    """Success leaf anywhere, guarded or not.  Reduction steps never create
-    one, so a term without any can never reach an unguarded one."""
-    return p._ok
+    return p._barb
 
 
 def reduces_to(
@@ -212,7 +197,9 @@ def may_succeed(
     state_cap: int = 10000,
 ) -> Verdict:
     """Can p reach a state with an unguarded success leaf?"""
-    if not _contains_success(p):
+    # Reduction steps never create a success leaf, so a term without one,
+    # guarded or not, can never reach an unguarded one.
+    if not p._ok:
         return verdicts.violated(witness=p, states=0, depth=0)
 
     def goal(t: Process) -> Outcome:

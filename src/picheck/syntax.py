@@ -20,9 +20,9 @@ nodes or names changes from run to run.  No output may follow it: sort by
 
 Each node also stores facts that its constructor derives from its
 children's facts, without a walk: free names (interned sets, shared between
-nodes), size, whether it contains a replication or a success leaf, and
-whether it is asynchronous.  Nodes are immutable: assigning an attribute
-raises.
+nodes), size, whether it contains a replication or a success leaf, whether
+a success leaf sits at an unguarded position, and whether it is
+asynchronous.  Nodes are immutable: assigning an attribute raises.
 
 Functions of one term that are asked the same question many times (alpha
 form, normal form, canonical state, reducts, printing, encoding) are
@@ -132,12 +132,12 @@ class Process(_Interned):
 
     Facts: ``_free`` free names, ``_size`` constructor count, ``_repl`` a
     replication occurs, ``_ok`` a success leaf occurs (guarded or not),
-    ``_async`` every output continuation is the empty process.  ``_memo``
-    holds the results of ``memo`` functions and of renamings: ``_NO_MEMO``
-    until the first.
+    ``_barb`` a success leaf occurs unguarded, ``_async`` every output
+    continuation is the empty process.  ``_memo`` holds the results of
+    ``memo`` functions and of renamings: ``_NO_MEMO`` until the first.
     """
 
-    __slots__ = ("_free", "_size", "_repl", "_ok", "_async", "_memo")
+    __slots__ = ("_free", "_size", "_repl", "_ok", "_barb", "_async", "_memo")
     _facts = __slots__
 
 
@@ -188,7 +188,7 @@ def _names(s: frozenset) -> frozenset:
 def _leaf(cls, key: tuple, fields: tuple, size: int, ok: bool):
     node = _TABLE.get(key)
     if node is None:
-        node = _intern(cls, key, *fields, EMPTY, size, False, ok, True, _NO_MEMO)
+        node = _intern(cls, key, *fields, EMPTY, size, False, ok, ok, True, _NO_MEMO)
     return node
 
 
@@ -228,7 +228,7 @@ class Output(Process):
             free = fc if subject in fc and obj in fc else _names(fc | {subject, obj})
             node = _intern(
                 cls, key, subject, obj, cont,
-                free, cont._size + 1, cont._repl, cont._ok, cont is NIL, _NO_MEMO,
+                free, cont._size + 1, cont._repl, cont._ok, False, cont is NIL, _NO_MEMO,
             )
         return node
 
@@ -246,7 +246,7 @@ class Input(Process):
                 free = _names((free - {binder}) | {subject})
             node = _intern(
                 cls, key, subject, binder, cont,
-                free, cont._size + 1, cont._repl, cont._ok, cont._async, _NO_MEMO,
+                free, cont._size + 1, cont._repl, cont._ok, False, cont._async, _NO_MEMO,
             )
         return node
 
@@ -264,7 +264,8 @@ class Par(Process):
             node = _intern(
                 cls, key, left, right,
                 free, left._size + right._size + 1, left._repl or right._repl,
-                left._ok or right._ok, left._async and right._async, _NO_MEMO,
+                left._ok or right._ok, left._barb or right._barb,
+                left._async and right._async, _NO_MEMO,
             )
         return node
 
@@ -282,7 +283,8 @@ class Restrict(Process):
                 free = _names(free - {binder})
             node = _intern(
                 cls, key, binder, body,
-                free, body._size + 1, body._repl, body._ok, body._async, _NO_MEMO,
+                free, body._size + 1, body._repl, body._ok, body._barb, body._async,
+                _NO_MEMO,
             )
         return node
 
@@ -297,7 +299,8 @@ class Repl(Process):
         if node is None:
             node = _intern(
                 cls, key, body,
-                body._free, body._size + 1, True, body._ok, body._async, _NO_MEMO,
+                body._free, body._size + 1, True, body._ok, body._barb, body._async,
+                _NO_MEMO,
             )
         return node
 

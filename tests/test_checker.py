@@ -5,6 +5,8 @@ negative vectors use deliberately broken translators and confirm the checks
 actually fire.
 """
 
+import dataclasses
+import inspect
 import random
 import time
 
@@ -27,7 +29,6 @@ from picheck import (
     Par,
     Repl,
     Restrict,
-    Success,
     Trace,
     alpha_canonical,
     alpha_eq,
@@ -44,12 +45,12 @@ from picheck import (
     diverges_bounded,
     encode,
     first_violation,
+    free_names,
     generate_terms,
     is_async,
     mutant_encoder,
     parse,
     pprint,
-    reduct_candidates,
     run_suite,
     struct_eq_bounded,
     struct_eq_s,
@@ -64,16 +65,6 @@ SCHEMES = (B, HT)
 
 def corpus(max_nodes, **kw):
     return list(generate_terms(GeneratorConfig(max_nodes=max_nodes, **kw)))
-
-
-def subterms(t):
-    yield t
-    match t:
-        case Output(cont=c) | Input(cont=c) | Restrict(body=c) | Repl(body=c):
-            yield from subterms(c)
-        case Par(left=l, right=r):
-            yield from subterms(l)
-            yield from subterms(r)
 
 
 # --- corpus generation ---
@@ -102,12 +93,11 @@ def test_corpus_has_one_representative_per_alpha_class():
     assert len({alpha_canonical(t) for t in got}) == len(got)
 
 
-def test_corpus_respects_feature_switches():
-    got = corpus(3, name_alphabet=(x,), allow_replication=False, allow_success=False)
-    for t in got:
-        assert not any(isinstance(s, (Repl, Success)) for s in subterms(t)), pprint(t)
+def test_one_letter_corpus_holds_the_self_communication():
+    got = corpus(3, name_alphabet=(x,))
     want = parse("x!x.0 | x(z).0")
     assert any(alpha_eq(t, want) for t in got)
+    assert all(names <= {x} for names in map(free_names, got))
 
 
 def test_random_corpus_is_seed_deterministic():
@@ -124,9 +114,8 @@ def _reference_random_terms(cfg):
     """The random corpus as first written: weights passed on every draw."""
     rng = random.Random(cfg.seed)
     alphabet = list(cfg.name_alphabet)
-    kinds = ["out", "in", "par", "new", "nil"] + ["repl"] * cfg.allow_replication
-    kinds += ["ok"] * cfg.allow_success
-    weights = [3, 3, 3, 2, 1, 1, 1][: len(kinds)]
+    kinds = ["out", "in", "par", "new", "nil", "repl", "ok"]
+    weights = [3, 3, 3, 2, 1, 1, 1]
 
     def go(budget):
         if budget <= 0:
@@ -147,17 +136,21 @@ def _reference_random_terms(cfg):
     return [go(rng.randint(1, cfg.max_nodes)) for _ in range(cfg.random_count)]
 
 
-@pytest.mark.parametrize("repl, ok", [(True, True), (False, True), (True, False), (False, False)])
-def test_random_corpus_draws_the_reference_stream(repl, ok):
-    cfg = GeneratorConfig(
-        max_nodes=7, random_count=300, seed=11, allow_replication=repl, allow_success=ok
-    )
+def test_random_corpus_draws_the_reference_stream():
+    cfg = GeneratorConfig(max_nodes=7, random_count=300, seed=11)
     assert list(generate_terms(cfg)) == _reference_random_terms(cfg)
 
 
 def test_empty_alphabet_is_rejected():
     with pytest.raises(ValueError):
         list(generate_terms(GeneratorConfig(name_alphabet=())))
+
+
+def test_random_corpus_without_a_node_is_rejected():
+    # A random term has 1 to max_nodes nodes; the exhaustive corpus at 0
+    # nodes is just 0 (above).
+    with pytest.raises(ValueError, match="max_nodes"):
+        list(generate_terms(GeneratorConfig(max_nodes=0, random_count=3)))
 
 
 # --- compositionality ---
@@ -401,20 +394,6 @@ def test_run_suite_on_nil_corpus():
     }
 
 
-def test_run_suite_fail_fast_stops_at_first_bad_criterion():
-    broken = mutant_encoder(B, Mutation.DROP_FORWARDER)
-    reports = run_suite(
-        GeneratorConfig(max_nodes=1),
-        schemes=(B,),
-        criteria=(Criterion.LEMMA_SUITE, Criterion.SUCCESS_SENSITIVENESS),
-        translate=broken,
-        fail_fast=True,
-    )
-    assert len(reports) == 1
-    assert reports[0].criterion is Criterion.LEMMA_SUITE
-    assert reports[0].violated >= 1
-
-
 def test_first_violation_is_none_for_the_real_encoders():
     cfg = GeneratorConfig(max_nodes=2)
     for scheme in SCHEMES:
@@ -431,14 +410,34 @@ def test_first_violation_catches_drop_forwarder_early():
     assert verdict.is_violated
 
 
-def test_first_violation_respects_a_criteria_filter():
-    broken = mutant_encoder(B, Mutation.DROP_FORWARDER)
-    found = first_violation(
-        GeneratorConfig(max_nodes=3), B,
-        criteria=(Criterion.OP_COMPLETENESS,), translate=broken,
-    )
-    assert found is not None
-    term, criterion, verdict = found
-    assert criterion is Criterion.OP_COMPLETENESS
-    assert verdict.is_violated
-    assert reduct_candidates(term)
+def test_run_configuration_is_pinned():
+    # run_suite runs the built-in encoders over a corpus; first_violation
+    # scans a corpus, through MUTATION_SCAN_ORDER, for a broken encoder.
+    assert [f.name for f in dataclasses.fields(GeneratorConfig)] == [
+        "max_nodes", "name_alphabet", "random_count", "seed",
+    ]
+    assert list(inspect.signature(run_suite).parameters) == [
+        "cfg", "schemes", "budgets", "criteria", "on_verdict",
+    ]
+    assert list(inspect.signature(first_violation).parameters) == [
+        "cfg", "scheme", "translate", "budgets",
+    ]
+
+
+@pytest.mark.parametrize("runner", ["run_suite", "first_violation"])
+def test_a_run_builds_the_renamings_once(monkeypatch, runner):
+    built = []
+    original = checker._default_sigmas
+
+    def counting(cfg):
+        built.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(checker, "_default_sigmas", counting)
+    cfg = GeneratorConfig(max_nodes=2)
+    if runner == "run_suite":
+        reports = run_suite(cfg)
+        assert all(r.passed for r in reports)
+    else:
+        assert first_violation(cfg, B) is None
+    assert built == [cfg]

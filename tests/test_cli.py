@@ -137,6 +137,20 @@ def test_normalize_prints_a_reparseable_representative(capsys):
     assert struct_eq_s(reparsed, parse("new a. new b. (b!a.0 | 0 | new c. 0)"))
 
 
+def test_normalize_relabels_past_the_alphabet(capsys):
+    # Every letter is taken, so the input's binder is printed as a0, not #1.
+    src = (
+        "new q. (a!b.0 | c!d.0 | e!f.0 | g!h.0 | i!j.0 | k!l.0 | m!n.0"
+        " | o!p.0 | q!r.0 | s!t.0 | u!v.0 | w!x.0 | y!z.0 | q(zz).0)"
+    )
+    code, out, _ = run(capsys, "normalize", src)
+    assert code == 0
+    printed = out.strip()
+    assert "#" not in printed and "q(a0).0" in printed
+    assert struct_eq_s(parse(printed), parse(src))
+    assert run(capsys, "normalize", printed) == (0, out, "")
+
+
 def test_normalize_drops_dead_structure(capsys):
     code, out, _ = run(capsys, "normalize", "x!y.0 | 0 | new q. 0")
     assert code == 0
@@ -353,6 +367,14 @@ def test_zero_count_exits_3(capsys, command):
     assert code == 3
     assert out == ""
     assert "must be positive" in err
+
+
+@pytest.mark.parametrize("command", ["check", "gen"])
+def test_random_mode_without_a_node_exits_3(capsys, command):
+    code, out, err = run(capsys, command, "--count", "3", "--max-nodes", "0")
+    assert code == 3
+    assert out == ""
+    assert "--max-nodes must be positive" in err
 
 
 @pytest.mark.parametrize("command", ["check", "gen"])

@@ -26,6 +26,7 @@ from picheck import (
     alpha_canonical,
     alpha_eq,
     anchor_steps,
+    asyncify,
     bound_names,
     context_for,
     decompose,
@@ -263,3 +264,33 @@ def test_mutant_encoder_rejects_a_label_that_is_not_a_mutation():
     # through to the real encoder's output clause.
     with pytest.raises(ValueError, match="not a Mutation"):
         mutant_encoder(BOUDOL, Mutation.DROP_FORWARDER.value)
+
+
+# --- asyncify, the third clause walk ---
+
+
+def ref_asyncify(p):
+    """The nearest asynchronous term as first written: a recursive walk,
+    memoised nowhere."""
+    match p:
+        case Output(subject=s, obj=o, cont=c):
+            rest = ref_asyncify(c)
+            send = Output(s, o, NIL)
+            return send if rest == NIL else Par(send, rest)
+        case Input(subject=s, binder=b, cont=c):
+            return Input(s, b, ref_asyncify(c))
+        case Par(left=l, right=r):
+            return Par(ref_asyncify(l), ref_asyncify(r))
+        case Restrict(binder=b, body=body):
+            return Restrict(b, ref_asyncify(body))
+        case Repl(body=body):
+            return Repl(ref_asyncify(body))
+    return p
+
+
+def test_asyncify_equals_the_recursive_walk():
+    random_terms = generate_terms(GeneratorConfig(max_nodes=8, random_count=2000, seed=9))
+    for t in [*corpus(3), *random_terms]:
+        got = asyncify(t)
+        assert got is ref_asyncify(t), pprint(t)
+        assert is_async(got) and asyncify(got) is got, pprint(t)

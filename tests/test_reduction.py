@@ -29,7 +29,6 @@ from picheck.reduction import (
     RedexDescriptor,
     Trace,
     TraceStep,
-    _contains_success,
     _contract,
     _inert_ok,
     diverges_bounded,
@@ -338,7 +337,8 @@ def test_nil_terminates():
 
 
 def test_replication_free_terms_always_terminate():
-    for p in generate_terms(GeneratorConfig(max_nodes=3, allow_replication=False)):
+    corpus = generate_terms(GeneratorConfig(max_nodes=3))
+    for p in (t for t in corpus if not has_replication(t)):
         assert diverges_bounded(p, budget=16).is_violated, pprint(p)
 
 
@@ -446,7 +446,7 @@ def ref_reduces_to(p, q, step_budget, state_cap):
 
 
 def ref_may_succeed(p, step_budget, state_cap):
-    if not _contains_success(p):
+    if not p._ok:
         return verdicts.violated(witness=p, states=0, depth=0)
 
     def check(t):
@@ -489,7 +489,7 @@ def test_may_succeed_equals_the_reference_search_on_success_terms():
     # No step of a 3-node term reaches a success leaf; the 4-node terms
     # that have one do, in up to 3 steps.
     seen = set()
-    corpus = [t for t in generate_terms(GeneratorConfig(max_nodes=4)) if _contains_success(t)]
+    corpus = [t for t in generate_terms(GeneratorConfig(max_nodes=4)) if t._ok]
     for t in _with_encodings(corpus):
         for step_budget, state_cap in BUDGETS:
             got = may_succeed(t, step_budget=step_budget, state_cap=state_cap)

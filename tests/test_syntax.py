@@ -14,7 +14,7 @@ import picheck
 from picheck import checker, congruence, encodings, reduction, syntax, text
 from picheck.checker import GeneratorConfig, generate_terms
 from picheck.encodings import EncodingScheme, encode
-from picheck.reduction import _contains_success
+from picheck.reduction import has_success
 from picheck.syntax import (
     NIL,
     SUCCESS,
@@ -321,11 +321,24 @@ def ref_async(p):
     return True
 
 
+def ref_has_success(p):
+    """A success leaf at an unguarded position: under no prefix."""
+    match p:
+        case Success():
+            return True
+        case Par(left=l, right=r):
+            return ref_has_success(l) or ref_has_success(r)
+        case Restrict(body=body) | Repl(body=body):
+            return ref_has_success(body)
+    return False
+
+
 def assert_facts(p):
     assert free_names(p) == ref_free(p), pprint(p)
     assert term_size(p) == ref_size(p), pprint(p)
     assert has_replication(p) == ref_any(p, Repl), pprint(p)
-    assert _contains_success(p) == ref_any(p, Success), pprint(p)
+    assert p._ok == ref_any(p, Success), pprint(p)
+    assert has_success(p) == ref_has_success(p), pprint(p)
     assert is_async(p) == ref_async(p), pprint(p)
 
 
@@ -370,6 +383,7 @@ def test_alpha_canonical_is_idempotent_on_generated_terms(p):
 
 MEMOISED = {
     "alpha_canonical",
+    "asyncify",
     "pprint",
     "_boudol",
     "_honda_tokoro",
