@@ -5,6 +5,12 @@ subject, modulo congruence.  Redexes are found on normal forms after exposing
 unguarded replications (one copy each per exposure level); one level is
 enough to reveal every single-step redex, since a redex needs one unguarded
 prefix from each of at most two components.
+
+Most terms cannot step at all, and a term's barbs say so without a normal
+form: ``_barbs`` gives the free subjects of its unguarded outputs and
+inputs, whether two of its unguarded prefixes form a redex, and whether one
+could be inert.  ``reduct_candidates`` and ``inert_reducts`` read them
+first and answer ``()`` at once when there is nothing to contract.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from .congruence import (
     to_normal_form,
 )
 from .syntax import (
+    EMPTY,
     NIL,
     Input,
     Name,
@@ -29,9 +36,11 @@ from .syntax import (
     Output,
     Par,
     Process,
+    Repl,
     Restrict,
     free_names,
     has_replication,
+    interned,
     is_async,
     memo,
     par_all,
@@ -142,14 +151,72 @@ def _steps(
     return tuple(results)
 
 
+_NO_BARBS = interned((EMPTY, EMPTY, False, False))
+
+
+@memo
+def _barbs(p: Process) -> tuple[frozenset, frozenset, bool, bool]:
+    """The barbs of ``p`` (Milner & Sangiorgi, "Barbed bisimulation", ICALP
+    1992) and what they imply: ``(outs, ins, step, inert)``, interned.
+
+    ``outs`` and ``ins`` are the free subjects of the unguarded outputs and
+    inputs: they pass through ``|`` and ``!``, and through ``new w`` minus
+    ``w``.  ``step`` is true exactly when ``p`` has a one-step reduct, and a
+    false ``inert`` means that ``p`` has no inert step.
+
+    Why ``step`` is exact.  A redex pairs an unguarded output and an
+    unguarded input on one channel in one scope.  Neither prefix is under
+    the other, so their lowest common ancestor is a ``|``.  No ``new`` of
+    the channel lies between that ``|`` and either prefix, or the two would
+    be in different scopes, so the channel is an output subject of one side
+    of the ``|`` and an input subject of the other.  Conversely, such a
+    ``|`` holds a redex.  ``new`` and ``!`` pass the body's answer on: a
+    redex of ``!P`` lies in one exposed copy of ``P`` (see the module
+    docstring), and two copies of ``P`` react on a free channel only if
+    ``P`` already has an unguarded output and input on it, that is a redex
+    of its own.  Prefixes and leaves have no redex.
+
+    Why a false ``inert`` is safe.  ``_inert_ok`` needs the channel to be
+    restricted in the normal form, so bound by a ``new w`` at an unguarded
+    position outside any replication, and in that scope ``w`` is an output
+    and an input subject of the body.  ``inert`` is true at such a ``new``,
+    and ``|`` and ``new`` pass either side's answer up.  ``!`` passes the
+    body's answer too, although no inert step is taken under a replication:
+    answering true too often costs time, never an answer.
+    """
+    match p:
+        case Output(subject=x):
+            return interned((interned(frozenset((x,))), EMPTY, False, False))
+        case Input(subject=x):
+            return interned((EMPTY, interned(frozenset((x,))), False, False))
+        case Par(left=l, right=r):
+            lo, li, ls, lt = _barbs(l)
+            ro, ri, rs, rt = _barbs(r)
+            step = ls or rs or not lo.isdisjoint(ri) or not ro.isdisjoint(li)
+            return interned((interned(lo | ro), interned(li | ri), step, lt or rt))
+        case Restrict(binder=w, body=body):
+            barbs = outs, ins, step, inert = _barbs(body)
+            if w not in outs and w not in ins:
+                return barbs
+            return interned(
+                (interned(outs - {w}), interned(ins - {w}), step, inert or (w in outs and w in ins))
+            )
+        case Repl(body=body):
+            return _barbs(body)
+    return _NO_BARBS
+
+
 @memo
 def reduct_candidates(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]:
     """All one-step reducts modulo congruence, deduplicated by canonical state.
 
     Pairs every unguarded output with every unguarded input on the same
     subject, in ``p`` and then in ``p`` with its unguarded replications
-    exposed once, which is enough (see the module docstring).
+    exposed once, which is enough (see the module docstring).  A term whose
+    barbs show no redex has none (see ``_barbs``), without a normal form.
     """
+    if not _barbs(p)[2]:
+        return ()
     exposed = expose(p)
     return _steps((p,) if exposed == p else (p, exposed), inert_only=False)
 
@@ -158,6 +225,8 @@ def inert_reducts(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]:
     """Inert steps available on an asynchronous term, without any unfolding."""
     if not is_async(p):
         raise ValueError("inert steps are defined on asynchronous terms only")
+    if not _barbs(p)[3]:
+        return ()
     return _steps((p,), inert_only=True)
 
 

@@ -25,7 +25,7 @@ a success leaf sits at an unguarded position, and whether it is
 asynchronous.  Nodes are immutable: assigning an attribute raises.
 
 Functions of one term that are asked the same question many times (alpha
-form, normal form, canonical state, reducts, printing, encoding) are
+form, normal form, canonical state, barbs, reducts, printing, encoding) are
 decorated with ``memo``, which keeps each result on the node it was computed
 from.  There is no global cache and no eviction: a result lives as long as
 its node, which is the whole process.
@@ -51,7 +51,9 @@ USER = "user"
 FRESH = "fresh"
 
 # The intern table: (tag, children or leaf values) -> the one node or name,
-# and each free-name set and each stored renaming key -> itself.
+# and each value passed to ``interned`` (free-name sets, renaming keys,
+# reduction's barbs) -> itself.  A node key starts with its tag, a str, so
+# it never equals one of those.
 _TABLE: dict = {}
 
 
@@ -148,6 +150,7 @@ _NO_MEMO: dict = {}
 
 
 R = TypeVar("R")
+T = TypeVar("T")
 
 
 def memo(fn: Callable[[Process], R]) -> Callable[[Process], R]:
@@ -179,10 +182,12 @@ def _own_memo(p: Process) -> dict:
     return stored
 
 
-def _names(s: frozenset) -> frozenset:
-    # Free-name sets are interned too: a corpus has a few hundred distinct
-    # ones, shared by tens of thousands of nodes.
-    return _TABLE.setdefault(s, s)
+def interned(value: T) -> T:
+    """The one stored value equal to ``value``, stored now if it is the
+    first.  Free-name sets, renaming keys and reduction's barbs are
+    interned: a corpus has a few hundred distinct ones, shared by tens of
+    thousands of nodes."""
+    return _TABLE.setdefault(value, value)
 
 
 def _leaf(cls, key: tuple, fields: tuple, size: int, ok: bool):
@@ -225,7 +230,7 @@ class Output(Process):
         node = _TABLE.get(key)
         if node is None:
             fc = cont._free
-            free = fc if subject in fc and obj in fc else _names(fc | {subject, obj})
+            free = fc if subject in fc and obj in fc else interned(fc | {subject, obj})
             node = _intern(
                 cls, key, subject, obj, cont,
                 free, cont._size + 1, cont._repl, cont._ok, False, cont is NIL, _NO_MEMO,
@@ -243,7 +248,7 @@ class Input(Process):
         if node is None:
             free = cont._free
             if binder in free or subject not in free:
-                free = _names((free - {binder}) | {subject})
+                free = interned((free - {binder}) | {subject})
             node = _intern(
                 cls, key, subject, binder, cont,
                 free, cont._size + 1, cont._repl, cont._ok, False, cont._async, _NO_MEMO,
@@ -260,7 +265,7 @@ class Par(Process):
         node = _TABLE.get(key)
         if node is None:
             lf, rf = left._free, right._free
-            free = lf if rf <= lf else rf if lf <= rf else _names(lf | rf)
+            free = lf if rf <= lf else rf if lf <= rf else interned(lf | rf)
             node = _intern(
                 cls, key, left, right,
                 free, left._size + right._size + 1, left._repl or right._repl,
@@ -280,7 +285,7 @@ class Restrict(Process):
         if node is None:
             free = body._free
             if binder in free:
-                free = _names(free - {binder})
+                free = interned(free - {binder})
             node = _intern(
                 cls, key, binder, body,
                 free, body._size + 1, body._repl, body._ok, body._barb, body._async,
@@ -396,7 +401,7 @@ def _renamed(p: Process, key: tuple) -> Process:
     except KeyError:
         pass
     result = _rename(p, dict(zip(key[::2], key[1::2])))
-    _own_memo(p)[_TABLE.setdefault(key, key)] = result
+    _own_memo(p)[interned(key)] = result
     return result
 
 

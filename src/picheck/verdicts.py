@@ -42,7 +42,14 @@ class Verdict:
         return dict(self.budget_used)
 
 
+# The plain Holds: verdicts are frozen, so every caller can share one.
+_HOLDS = Verdict(Outcome.HOLDS)
+
+
 def holds(witness: Any = None, **budget: int) -> Verdict:
+    """Holds; without a witness or a budget, the one shared plain Holds."""
+    if witness is None and not budget:
+        return _HOLDS
     return Verdict(Outcome.HOLDS, witness, tuple(sorted(budget.items())))
 
 

@@ -29,8 +29,10 @@ from picheck.reduction import (
     RedexDescriptor,
     Trace,
     TraceStep,
+    _barbs,
     _contract,
     _inert_ok,
+    _steps,
     diverges_bounded,
     explore,
     growth_cap,
@@ -712,3 +714,72 @@ def test_divergence_witness_takes_the_looping_branch():
     v = diverges_bounded(p, budget=16)
     assert v.is_holds
     _assert_loop_witness(p, v)
+
+
+# ------------------------------------------- barbs against the redex loop
+
+
+def _assert_barbs_agree(p):
+    """``step`` is true exactly when the redex loop contracts something, and
+    a false ``inert`` means that it finds no inert step."""
+    exposed = expose(p)
+    variants = (p,) if exposed == p else (p, exposed)
+    _, _, step, inert = _barbs(p)
+    assert step == bool(_steps(variants, False)), pprint(p)
+    if not inert:
+        assert _steps((p,), True) == (), pprint(p)
+
+
+def test_barbs_agree_with_the_redex_loop():
+    # The 3-node corpus and its encodings, asynchronous random terms (which
+    # carry the inert steps), and every one-step reduct of all of them,
+    # taken from the redex loop itself so that a wrong ``step`` cannot hide
+    # a reduct.
+    terms = _with_encodings(list(generate_terms(GeneratorConfig(max_nodes=3))))
+    cfg = GeneratorConfig(max_nodes=8, random_count=2000, seed=10)
+    terms += [asyncify(t) for t in generate_terms(cfg)]
+    for t in list(terms):
+        exposed = expose(t)
+        terms += [q for q, _ in _steps((t,) if exposed == t else (t, exposed), False)]
+    for t in terms:
+        _assert_barbs_agree(t)
+    barbs = [_barbs(t) for t in terms]
+    # Both answers split the terms, and the inert early return also skips
+    # terms that do step.
+    assert {b[2] for b in barbs} == {b[3] for b in barbs} == {False, True}
+    assert any(step and not inert for _, _, step, inert in barbs)
+    assert sum(bool(_steps((t,), True)) for t in terms) >= 20
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(TERMS)
+def test_barbs_agree_with_the_redex_loop_on_generated_terms(p):
+    _assert_barbs_agree(p)
+    _assert_barbs_agree(asyncify(p))
+
+
+def test_barbs_vectors():
+    a = user("a")
+    for text, outs, ins, step, inert in [
+        ("0", (), (), False, False),
+        ("x!y.x(z).0", (x,), (), False, False),
+        ("x!y.0 | x(z).0", (x,), (x,), True, False),
+        ("x(z).0 | x!y.0", (x,), (x,), True, False),
+        # The two prefixes on a are in different scopes.
+        ("(new a. a!y.0) | a(z).0", (), (a,), False, False),
+        ("new a. (a!y.0 | a(z).0)", (), (), True, True),
+        ("!(x!y.0 | x(z).0)", (x,), (x,), True, False),
+        ("!x!y.0 | x(z).0", (x,), (x,), True, False),
+        # Under a replication ``inert`` over-approximates: no inert step is
+        # taken there.
+        ("!(new a. (a!y.0 | a(z).0))", (), (), True, True),
+    ]:
+        p = parse(text)
+        assert _barbs(p) == (frozenset(outs), frozenset(ins), step, inert), text
+    assert inert_reducts(parse("!(new a. (a!y.0 | a(z).0))")) == ()
+
+
+def test_barbs_are_interned():
+    p, q = parse("x!y.0 | z(w).0"), parse("z(w).w!w.0 | x!x.0")
+    assert _barbs(p) is _barbs(q)
+    assert _barbs(parse("new a. x!y.0")) is _barbs(parse("x!y.0"))

@@ -391,6 +391,7 @@ MEMOISED = {
     "deep_canon",
     "canonical_state",
     "reduct_candidates",
+    "_barbs",
 }
 
 
