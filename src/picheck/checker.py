@@ -18,7 +18,7 @@ from itertools import chain, count
 from typing import Callable, Iterable, Iterator
 
 from . import verdicts
-from .congruence import EqBudget, struct_eq_bounded, to_normal_form
+from .congruence import EqBudget, flatten, struct_eq_bounded
 from .encodings import (
     EncodingScheme,
     anchor_steps,
@@ -466,7 +466,7 @@ def _default_sigmas(cfg: GeneratorConfig) -> tuple[dict[Name, Name], ...]:
 
 
 def _unguarded_success_by_decomposition(p: Process) -> bool:
-    return any(has_success(c) for c in to_normal_form(p).components)
+    return any(has_success(c) for c in flatten(p)[1])
 
 
 def check_lemma_suite(

@@ -32,7 +32,7 @@ from .checker import (
     generate_terms,
     run_suite,
 )
-from .congruence import EqBudget, deep_canon, struct_eq_bounded
+from .congruence import MAX_CANDIDATES, EqBudget, deep_canon, struct_eq_bounded
 from .encodings import EncodingScheme, encode
 from .reduction import Trace, may_succeed, reduct_candidates
 from .syntax import (
@@ -219,7 +219,7 @@ def _cmd_eq(args) -> int:
                 "left": pprint(a),
                 "right": pprint(b),
                 "outcome": wording,
-                "budgets": {"unfolds": args.unfolds, "candidates": budget.max_candidates},
+                "budgets": {"unfolds": args.unfolds, "candidates": MAX_CANDIDATES},
             }
         )
     else:
@@ -307,7 +307,7 @@ def _cmd_check(args) -> int:
     budget_record = {
         "step_budget": args.step_budget,
         "eq_unfolds": budgets.eq.max_unfolds,
-        "eq_candidates": budgets.eq.max_candidates,
+        "eq_candidates": MAX_CANDIDATES,
         "divergence_budget": budgets.divergence_budget,
         "success_budget": budgets.success_budget,
         "state_cap": budgets.state_cap,

@@ -1,4 +1,4 @@
-"""Structural congruence: canonical forms, normal forms, bounded unfolding.
+"""Structural congruence: standard forms, canonical forms, bounded unfolding.
 
 The congruence splits into a decidable core (par is a commutative monoid,
 unused restrictions drop, scopes extrude, alpha) and the replication law
@@ -7,16 +7,22 @@ unused restrictions drop, scopes extrude, alpha) and the replication law
 forms are equal.  The full relation is only semi-decided, by unfolding
 replications a bounded number of times on both sides and comparing
 canonical forms.
+
+``flatten`` splits one level of a term into Milner's standard form
+``new x~.(M1 | ... | Mn)`` ("The polyadic pi-calculus: a tutorial", 1993),
+and ``rebuild`` puts such a level back together.  The canonical forms, the
+redex loop and the lemma suite all read a level through them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import verdicts
 from .syntax import (
+    NIL,
     SUCCESS,
     Input,
     Name,
@@ -37,33 +43,24 @@ from .syntax import (
 )
 from .verdicts import Verdict
 
+# Most terms ``unfold_replications`` returns for one side of a query.
+MAX_CANDIDATES = 10000
+
 
 @dataclass(frozen=True)
 class EqBudget:
     """Bounds for one bounded-equivalence query."""
 
     max_unfolds: int = 2
-    max_candidates: int = 10000
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """Top-level restrictions over a multiset of plain parallel components.
+def flatten(q: Process) -> tuple[list[Name], list[Process]]:
+    """Split a term into its restriction binders, in preorder, and its
+    components: outputs, inputs, replications and success leaves, 0 dropped.
 
-    Invariants: every restricted name occurs free in some component; no
-    component is itself a parallel composition, a restriction, or the empty
-    process (the empty multiset stands for the empty process).
-    """
-
-    restricted: frozenset
-    components: tuple
-
-
-def _flatten(q: Process) -> tuple[list[Name], list[Process]]:
-    """Split an alpha-canonical term into restriction binders and components.
-
-    Binder distinctness (guaranteed by alpha_canonical) makes unconditional
-    scope extrusion safe.
+    Scope extrusion is unconditional, which is safe when the binders are
+    distinct, as ``alpha_canonical`` makes them.  The components alone are
+    right for any term.
     """
     restricted: list[Name] = []
     comps: list[Process] = []
@@ -84,18 +81,13 @@ def _flatten(q: Process) -> tuple[list[Name], list[Process]]:
     return restricted, comps
 
 
-@memo
-def to_normal_form(p: Process) -> NormalForm:
-    """Restrictions and components of ``p`` in flatten order, which is a
-    function of the alpha class because ``alpha_canonical`` fixes it."""
-    restricted, comps = _flatten(alpha_canonical(p))
+def rebuild(restricted: Iterable[Name], comps: Iterable[Process]) -> Process:
+    """``new restricted. (comps)``, congruent to it: 0 components dropped,
+    only the restrictions some component uses kept, least name outermost."""
+    comps = [c for c in comps if c is not NIL]
     used = frozenset().union(*(free_names(c) for c in comps))
-    return NormalForm(used.intersection(restricted), tuple(comps))
-
-
-def nf_to_process(nf: NormalForm) -> Process:
-    term = par_all(nf.components)
-    for w in sorted(nf.restricted, key=Name.sort_key, reverse=True):
+    term = par_all(comps)
+    for w in sorted(used.intersection(restricted), key=Name.sort_key, reverse=True):
         term = Restrict(w, term)
     return term
 
@@ -135,7 +127,7 @@ def _level_key(q: Process, env: dict, depth: int) -> tuple:
     """Key of one nesting level.  Restricted names are split into groups
     linked by shared components and each group is keyed on its own, so
     disconnected copies never make the labelling search branch."""
-    restricted, comps = _flatten(q)
+    restricted, comps = flatten(q)
     keys = []
     groups: list[tuple[set, list]] = []
     for c in comps:
@@ -273,14 +265,11 @@ def canonical_state(p: Process) -> Process:
     congruence, while replication-congruent states deeper down or folded
     otherwise may stay apart (missed merges cost time, never correctness)."""
     q = deep_canon(p)
-    restricted, comps = _flatten(q)
+    restricted, comps = flatten(q)
     folded = _refold(comps)
     if len(folded) == len(comps):
         return q
-    term = par_all(folded)
-    for w in reversed(restricted):
-        term = Restrict(w, term)
-    return deep_canon(term)
+    return deep_canon(rebuild(restricted, folded))
 
 
 def struct_eq_s(p: Process, q: Process) -> bool:
@@ -313,10 +302,10 @@ def _single_unfolds(p: Process) -> Iterator[Process]:
                 yield Restrict(b, b2)
 
 
-def unfold_replications(p: Process, depth: int, cap: int | None = None) -> tuple[Process, ...]:
+def unfold_replications(p: Process, depth: int) -> tuple[Process, ...]:
     """Terms reachable by at most ``depth`` single unfoldings, including ``p``.
 
-    Deduplicates up to alpha; an optional ``cap`` bounds the result size.
+    Deduplicates up to alpha, and stops at ``MAX_CANDIDATES`` terms.
     """
     seen = {alpha_canonical(p): p}
     frontier = [p]
@@ -328,7 +317,7 @@ def unfold_replications(p: Process, depth: int, cap: int | None = None) -> tuple
                 if k not in seen:
                     seen[k] = t2
                     nxt.append(t2)
-                    if cap is not None and len(seen) >= cap:
+                    if len(seen) >= MAX_CANDIDATES:
                         return tuple(seen.values())
         if not nxt:
             break
@@ -361,9 +350,8 @@ def struct_eq_bounded(p: Process, q: Process, budget: EqBudget | None = None) ->
         return verdicts.holds(unfolds=0)
     if not has_replication(p) and not has_replication(q):
         return verdicts.violated((p, q))
-    cap = budget.max_candidates
-    left = unfold_replications(p, budget.max_unfolds, cap=cap)
-    right = unfold_replications(q, budget.max_unfolds, cap=cap)
+    left = unfold_replications(p, budget.max_unfolds)
+    right = unfold_replications(q, budget.max_unfolds)
     examined = len(left) + len(right)
     right_keys = {deep_canon(t) for t in right}
     if any(deep_canon(a) in right_keys for a in left):

@@ -1,49 +1,60 @@
 """Communication steps, step traces, and bounded reachability probes.
 
 A step contracts an unguarded output against an unguarded input on the same
-subject, modulo congruence.  Redexes are found on normal forms after exposing
-unguarded replications (one copy each per exposure level); one level is
-enough to reveal every single-step redex, since a redex needs one unguarded
-prefix from each of at most two components.
+subject, modulo congruence.  Redexes are found on the standard form
+(``flatten`` of the alpha form) of the term and of the term with its
+unguarded replications exposed once, one copy each.
 
-Most terms cannot step at all, and a term's barbs say so without a normal
-form: ``_barbs`` gives the free subjects of its unguarded outputs and
-inputs, whether two of its unguarded prefixes form a redex, and whether one
-could be inert.  ``reduct_candidates`` and ``inert_reducts`` read them
-first and answer ``()`` at once when there is nothing to contract.
+One level of exposure shows whether a step exists: a redex needs one
+unguarded prefix from each of at most two components, and two copies of
+``P`` react on a free channel only when ``P`` has an unguarded output and
+input on it, a redex of its own.  It does not give every reduct.  A step
+between two copies of ``P`` gives a reduct that no step inside one copy
+gives only when the reacting output and input, on a free channel, lie in
+one group of ``P``'s components linked by restricted names (groups as
+``congruence._level_key`` forms them); in every other case the leftovers
+regroup into one whole copy, and ``P | !P == !P``.  So
+``!new x. (y!x.0 | y(z).x!z.0)`` has a second reduct, where one copy sends
+its ``x`` to the other copy's input, which ``reduct_candidates`` misses.
+
+Most terms cannot step at all, and a term's barbs say so without a
+standard form: ``_barbs`` gives the free subjects of its unguarded outputs
+and inputs, whether two of its unguarded prefixes form a redex, and
+whether one could be inert.  ``reduct_candidates`` and ``inert_reducts``
+read them first and answer ``()`` at once when there is nothing to
+contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Collection
 
 from . import verdicts
 from .congruence import (
     EqBudget,
-    NormalForm,
     canonical_state,
     expose,
+    flatten,
+    rebuild,
     struct_eq_bounded,
-    to_normal_form,
 )
 from .syntax import (
     EMPTY,
     NIL,
     Input,
     Name,
-    Nil,
     Output,
     Par,
     Process,
     Repl,
     Restrict,
+    alpha_canonical,
     free_names,
     has_replication,
     interned,
     is_async,
     memo,
-    par_all,
     substitute,
     term_size,
 )
@@ -52,11 +63,11 @@ from .verdicts import Outcome, Verdict
 
 @dataclass(frozen=True)
 class RedexDescriptor:
-    """Which communication fired: channel, transmitted name, receiving binder."""
+    """Which communication fired: channel and transmitted name, whether the
+    channel is restricted, and whether the step is inert."""
 
     subject: Name
     sent: Name
-    binder: Name
     subject_restricted: bool
     inert: bool
 
@@ -73,44 +84,31 @@ class Trace:
     start: Process
     steps: tuple[TraceStep, ...] = ()
 
-    @property
-    def end(self) -> Process:
-        return self.steps[-1].target if self.steps else self.start
-
     def __len__(self) -> int:
         return len(self.steps)
 
 
-def _rebuild(restricted: frozenset, comps: list[Process]) -> Process:
-    comps = [c for c in comps if c != NIL]
-    used = frozenset().union(*(free_names(c) for c in comps)) if comps else frozenset()
-    term = par_all(comps)
-    for w in sorted(restricted & used, key=Name.sort_key, reverse=True):
-        term = Restrict(w, term)
-    return term
-
-
-def _contract(nf: NormalForm, i: int, j: int) -> Process:
-    out = nf.components[i]
-    inp = nf.components[j]
-    rest = [c for k, c in enumerate(nf.components) if k != i and k != j]
+def _contract(restricted: Collection[Name], comps: list[Process], i: int, j: int) -> Process:
+    out = comps[i]
+    inp = comps[j]
+    rest = [c for k, c in enumerate(comps) if k != i and k != j]
     rest.append(out.cont)
     rest.append(substitute(inp.cont, inp.binder, out.obj))
-    return _rebuild(nf.restricted, rest)
+    return rebuild(restricted, rest)
 
 
-def _inert_ok(nf: NormalForm, i: int, j: int) -> bool:
+def _inert_ok(restricted: Collection[Name], comps: list[Process], i: int, j: int) -> bool:
     """A step is inert when it is the only thing its restricted channel can
     ever do: output carries no continuation, the channel is used by exactly
     the two reacting prefixes, and it vanishes from the result.  No other
     component may have the channel free, which also rules out any third
     unguarded prefix on it."""
-    out = nf.components[i]
-    inp = nf.components[j]
+    out = comps[i]
+    inp = comps[j]
     v = out.subject
-    if v not in nf.restricted or out.cont != NIL:
+    if v not in restricted or out.cont is not NIL:
         return False
-    for k, c in enumerate(nf.components):
+    for k, c in enumerate(comps):
         if k != i and k != j and v in free_names(c):
             return False
     return v not in free_names(substitute(inp.cont, inp.binder, out.obj))
@@ -120,22 +118,22 @@ def _steps(
     variants: tuple[Process, ...], inert_only: bool
 ) -> tuple[tuple[Process, RedexDescriptor], ...]:
     """Contract every unguarded output against every unguarded input on the
-    same subject, in each variant's normal form in turn, keeping one reduct
-    per canonical state.  ``inert_only`` drops non-inert pairs before they
-    are contracted."""
+    same subject, in each variant's standard form in turn, keeping one
+    reduct per canonical state.  ``inert_only`` drops non-inert pairs before
+    they are contracted."""
     results = []
     seen = set()
     for variant in variants:
-        nf = to_normal_form(variant)
-        for i, out in enumerate(nf.components):
+        restricted, comps = flatten(alpha_canonical(variant))
+        for i, out in enumerate(comps):
             if not isinstance(out, Output):
                 continue
-            for j, inp in enumerate(nf.components):
+            for j, inp in enumerate(comps):
                 if not isinstance(inp, Input) or inp.subject != out.subject:
                     continue
-                if inert_only and not _inert_ok(nf, i, j):
+                if inert_only and not _inert_ok(restricted, comps, i, j):
                     continue
-                q = _contract(nf, i, j)
+                q = _contract(restricted, comps, i, j)
                 key = canonical_state(q)
                 if key in seen:
                     continue
@@ -143,9 +141,8 @@ def _steps(
                 rd = RedexDescriptor(
                     subject=out.subject,
                     sent=out.obj,
-                    binder=inp.binder,
-                    subject_restricted=out.subject in nf.restricted,
-                    inert=inert_only or _inert_ok(nf, i, j),
+                    subject_restricted=out.subject in restricted,
+                    inert=inert_only or _inert_ok(restricted, comps, i, j),
                 )
                 results.append((q, rd))
     return tuple(results)
@@ -170,14 +167,14 @@ def _barbs(p: Process) -> tuple[frozenset, frozenset, bool, bool]:
     the channel lies between that ``|`` and either prefix, or the two would
     be in different scopes, so the channel is an output subject of one side
     of the ``|`` and an input subject of the other.  Conversely, such a
-    ``|`` holds a redex.  ``new`` and ``!`` pass the body's answer on: a
-    redex of ``!P`` lies in one exposed copy of ``P`` (see the module
-    docstring), and two copies of ``P`` react on a free channel only if
-    ``P`` already has an unguarded output and input on it, that is a redex
-    of its own.  Prefixes and leaves have no redex.
+    ``|`` holds a redex.  ``new`` and ``!`` pass the body's answer on:
+    ``!P`` has a step exactly when ``P`` has one, since two copies of ``P``
+    react on a free channel only if ``P`` already has an unguarded output
+    and input on it, that is a redex of its own (see the module docstring).
+    Prefixes and leaves have no redex.
 
     Why a false ``inert`` is safe.  ``_inert_ok`` needs the channel to be
-    restricted in the normal form, so bound by a ``new w`` at an unguarded
+    restricted in the standard form, so bound by a ``new w`` at an unguarded
     position outside any replication, and in that scope ``w`` is an output
     and an input subject of the body.  ``inert`` is true at such a ``new``,
     and ``|`` and ``new`` pass either side's answer up.  ``!`` passes the
@@ -208,12 +205,15 @@ def _barbs(p: Process) -> tuple[frozenset, frozenset, bool, bool]:
 
 @memo
 def reduct_candidates(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]:
-    """All one-step reducts modulo congruence, deduplicated by canonical state.
+    """One-step reducts modulo congruence, deduplicated by canonical state.
 
     Pairs every unguarded output with every unguarded input on the same
     subject, in ``p`` and then in ``p`` with its unguarded replications
-    exposed once, which is enough (see the module docstring).  A term whose
-    barbs show no redex has none (see ``_barbs``), without a normal form.
+    exposed once.  That finds a step whenever ``p`` has one, but misses the
+    reducts of steps between two copies of a replication whose body links
+    the reacting prefixes by a restricted name (see the module docstring).
+    A term whose barbs show no redex has none (see ``_barbs``), without a
+    standard form.
     """
     if not _barbs(p)[2]:
         return ()
@@ -221,6 +221,7 @@ def reduct_candidates(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]
     return _steps((p,) if exposed == p else (p, exposed), inert_only=False)
 
 
+@memo
 def inert_reducts(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]:
     """Inert steps available on an asynchronous term, without any unfolding."""
     if not is_async(p):

@@ -25,9 +25,9 @@ a success leaf sits at an unguarded position, and whether it is
 asynchronous.  Nodes are immutable: assigning an attribute raises.
 
 Functions of one term that are asked the same question many times (alpha
-form, normal form, canonical state, barbs, reducts, printing, encoding) are
-decorated with ``memo``, which keeps each result on the node it was computed
-from.  There is no global cache and no eviction: a result lives as long as
+form, canonical form and state, barbs, reducts and inert reducts, printing,
+encoding) are decorated with ``memo``, which keeps each result on the node
+it was computed from.  There is no global cache and no eviction: a result lives as long as
 its node, which is the whole process.
 
 Substitution and renaming share one capture-avoiding walker:

@@ -1,4 +1,4 @@
-"""Structural congruence, normal forms, canonical keys, bounded unfolding.
+"""Structural congruence, standard forms, canonical keys, bounded unfolding.
 
 The ground truth here is an axiom-closure oracle: the defining rewrite
 rules applied at every position, saturated over alpha-classes.  The
@@ -19,10 +19,10 @@ from picheck.congruence import (
     canonical_state,
     deep_canon,
     expose,
-    nf_to_process,
+    flatten,
+    rebuild,
     struct_eq_bounded,
     struct_eq_s,
-    to_normal_form,
     unfold_replications,
 )
 from picheck.syntax import (
@@ -234,60 +234,78 @@ def test_restricted_name_identity_is_irrelevant():
     )
 
 
-# ----------------------------------------------------------- normal forms
+# ------------------------------------------- standard forms: flatten, rebuild
 
 
 def _is_plain_component(c):
     return isinstance(c, (Output, Input, Repl, Success))
 
 
+def _round_trip(p):
+    return rebuild(*flatten(alpha_canonical(p)))
+
+
 def test_normal_form_drops_inert_restrictions():
-    nf = to_normal_form(parse("new z. (x!y.0 | new w. 0)"))
-    assert nf.restricted == frozenset()
-    assert len(nf.components) == 1
-    assert alpha_eq(nf.components[0], parse("x!y.0"))
+    restricted, comps = flatten(alpha_canonical(parse("new z. (x!y.0 | new w. 0)")))
+    assert len(restricted) == 2
+    assert comps == [parse("x!y.0")]
+    assert rebuild(restricted, comps) is parse("x!y.0")
 
 
 def test_normal_form_plain_term_unchanged():
-    nf = to_normal_form(parse("x!y.0 | x(z).0"))
-    assert nf.restricted == frozenset()
-    assert len(nf.components) == 2
-    for want in (parse("x!y.0"), parse("x(z).0")):
-        assert any(alpha_eq(c, want) for c in nf.components)
+    p = parse("x!y.0 | x(z).0")
+    restricted, comps = flatten(p)
+    assert restricted == []
+    assert comps == [p.left, p.right]
+    assert rebuild(restricted, comps) is p
 
 
 def test_normal_form_keeps_used_restriction():
-    nf = to_normal_form(parse("new x. (x!y.0 | x(z).0)"))
-    assert len(nf.restricted) == 1
-    (v,) = nf.restricted
-    assert len(nf.components) == 2
-    assert any(isinstance(c, Output) and c.subject == v for c in nf.components)
-    assert any(isinstance(c, Input) and c.subject == v for c in nf.components)
+    restricted, comps = flatten(alpha_canonical(parse("new x. (x!y.0 | x(z).0)")))
+    (v,) = restricted
+    assert len(comps) == 2
+    assert any(isinstance(c, Output) and c.subject == v for c in comps)
+    assert any(isinstance(c, Input) and c.subject == v for c in comps)
+    back = rebuild(restricted, comps)
+    assert isinstance(back, Restrict) and back.binder == v
+
+
+def test_rebuild_drops_nil_and_puts_the_least_binder_outermost():
+    a, b = user("a"), user("b")
+    comps = [NIL, parse("a!b.0"), NIL, parse("b(q).x!q.0")]
+    want = Restrict(a, Restrict(b, Par(comps[1], comps[3])))
+    assert rebuild([b, z, a], comps) is want
+    assert rebuild([a, b], [NIL, NIL]) is NIL
 
 
 def test_normal_form_components_are_plain():
     for p in generate_terms(GeneratorConfig(max_nodes=3)):
-        nf = to_normal_form(p)
-        for c in nf.components:
+        restricted, comps = flatten(alpha_canonical(p))
+        assert len(set(restricted)) == len(restricted), pprint(p)
+        for c in comps:
             assert _is_plain_component(c), pprint(p)
-        used = frozenset().union(*(free_names(c) for c in nf.components)) if nf.components else frozenset()
-        assert nf.restricted <= used, pprint(p)
+        used = frozenset().union(*(free_names(c) for c in comps))
+        back = _round_trip(p)
+        while isinstance(back, Restrict):
+            assert back.binder in used, pprint(p)
+            back = back.body
 
 
 def test_normal_form_round_trip_is_congruent():
     for p in generate_terms(GeneratorConfig(max_nodes=2)):
-        back = nf_to_process(to_normal_form(p))
-        assert oracle_congruent(p, back), pprint(p)
+        assert oracle_congruent(p, _round_trip(p)), pprint(p)
 
 
 def test_normal_form_is_canonical_per_alpha_class():
+    rng = random.Random(11)
     for p in generate_terms(GeneratorConfig(max_nodes=3)):
-        assert to_normal_form(alpha_canonical(p)) == to_normal_form(p), pprint(p)
+        q = _respell_binders(p, rng)
+        assert flatten(alpha_canonical(q)) == flatten(alpha_canonical(p)), pprint(p)
 
 
 def test_normal_form_round_trip_decided_congruent():
     for p in generate_terms(GeneratorConfig(max_nodes=3)):
-        assert struct_eq_s(nf_to_process(to_normal_form(p)), p), pprint(p)
+        assert struct_eq_s(_round_trip(p), p), pprint(p)
 
 
 # --------------------------------------------------------- canonical keys

@@ -20,9 +20,9 @@ from picheck.congruence import (
     EqBudget,
     canonical_state,
     expose,
+    flatten,
     struct_eq_bounded,
     struct_eq_s,
-    to_normal_form,
 )
 from picheck.encodings import EncodingScheme, encode
 from picheck.reduction import (
@@ -51,6 +51,7 @@ from picheck.syntax import (
     Repl,
     Restrict,
     Success,
+    alpha_canonical,
     alpha_eq,
     free_names,
     has_replication,
@@ -204,6 +205,17 @@ def test_replicated_sender_is_kept():
     assert len(reducts) == 1
     q, _ = reducts[0]
     assert struct_eq_s(q, parse("!x!y.0"))
+
+
+@pytest.mark.xfail(strict=True, reason="one level of exposure misses steps between two copies")
+def test_reducts_between_two_copies_of_a_replication():
+    # Copy A sends its x to copy B's input; the leftovers of the two copies
+    # do not regroup into one whole copy, so this reduct is no reduct of a
+    # step inside one copy (see the module docstring of reduction).
+    p = parse("!new x. (y!x.0 | y(z).x!z.0)")
+    cross = Par(parse("new a. new b. (y(z).a!z.0 | y!b.0 | b!a.0)"), p)
+    states = {canonical_state(q) for q, _ in reduct_candidates(p)}
+    assert canonical_state(cross) in states
 
 
 # ------------------------------------------------------------ inert steps
@@ -516,6 +528,14 @@ def test_explore_reaches_success_iff_may_succeed_holds(p):
 # ------------------------- divergence and steps against the old code
 
 
+def ref_normal_form(p):
+    """The normal form the redex loop once read: the restricted names of the
+    alpha form that some component uses, and its components."""
+    restricted, comps = flatten(alpha_canonical(p))
+    used = frozenset().union(*(free_names(c) for c in comps))
+    return used.intersection(restricted), comps
+
+
 def ref_reduct_candidates(p):
     """``reduct_candidates`` before it shared its redex loop with
     ``inert_reducts``, kept as the reference."""
@@ -523,14 +543,14 @@ def ref_reduct_candidates(p):
     seen = set()
     exposed = expose(p)
     for variant in (p,) if exposed == p else (p, exposed):
-        nf = to_normal_form(variant)
-        outs = [(i, c) for i, c in enumerate(nf.components) if isinstance(c, Output)]
-        ins = [(j, c) for j, c in enumerate(nf.components) if isinstance(c, Input)]
+        restricted, comps = ref_normal_form(variant)
+        outs = [(i, c) for i, c in enumerate(comps) if isinstance(c, Output)]
+        ins = [(j, c) for j, c in enumerate(comps) if isinstance(c, Input)]
         for i, out in outs:
             for j, inp in ins:
                 if out.subject != inp.subject:
                     continue
-                q = _contract(nf, i, j)
+                q = _contract(restricted, comps, i, j)
                 key = canonical_state(q)
                 if key in seen:
                     continue
@@ -538,9 +558,8 @@ def ref_reduct_candidates(p):
                 rd = RedexDescriptor(
                     subject=out.subject,
                     sent=out.obj,
-                    binder=inp.binder,
-                    subject_restricted=out.subject in nf.restricted,
-                    inert=_inert_ok(nf, i, j),
+                    subject_restricted=out.subject in restricted,
+                    inert=_inert_ok(restricted, comps, i, j),
                 )
                 results.append((q, rd))
     return tuple(results)
@@ -550,18 +569,18 @@ def ref_inert_reducts(p):
     """``inert_reducts`` with its own redex loop, kept as the reference."""
     if not is_async(p):
         raise ValueError("inert steps are defined on asynchronous terms only")
-    nf = to_normal_form(p)
+    restricted, comps = ref_normal_form(p)
     results = []
     seen = set()
-    for i, out in enumerate(nf.components):
+    for i, out in enumerate(comps):
         if not isinstance(out, Output):
             continue
-        for j, inp in enumerate(nf.components):
+        for j, inp in enumerate(comps):
             if not isinstance(inp, Input) or inp.subject != out.subject:
                 continue
-            if not _inert_ok(nf, i, j):
+            if not _inert_ok(restricted, comps, i, j):
                 continue
-            q = _contract(nf, i, j)
+            q = _contract(restricted, comps, i, j)
             key = canonical_state(q)
             if key in seen:
                 continue
@@ -569,7 +588,6 @@ def ref_inert_reducts(p):
             rd = RedexDescriptor(
                 subject=out.subject,
                 sent=out.obj,
-                binder=inp.binder,
                 subject_restricted=True,
                 inert=True,
             )
@@ -666,7 +684,7 @@ def _assert_loop_witness(p, v):
         redexes = [rd for q, rd in reduct_candidates(source) if canonical_state(q) == target_key]
         assert st.redex in redexes
         source = st.target
-    assert canonical_state(trace.end) in {canonical_state(st.source) for st in trace.steps}
+    assert canonical_state(source) in {canonical_state(st.source) for st in trace.steps}
 
 
 def _divergence_against_the_reference(terms, budgets):

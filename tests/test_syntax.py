@@ -387,10 +387,10 @@ MEMOISED = {
     "pprint",
     "_boudol",
     "_honda_tokoro",
-    "to_normal_form",
     "deep_canon",
     "canonical_state",
     "reduct_candidates",
+    "inert_reducts",
     "_barbs",
 }
 
@@ -413,7 +413,13 @@ def test_memoised_results_equal_the_undecorated_functions():
     terms = corpus + [encode(t, scheme) for scheme in EncodingScheme for t in corpus]
     for t in terms:
         for fn in fns.values():
-            stored = fn(t)
+            try:
+                stored = fn(t)
+            except ValueError:
+                # inert_reducts refuses synchronous terms, memoised or not.
+                with pytest.raises(ValueError):
+                    fn.__wrapped__(t)
+                continue
             afresh = fn.__wrapped__(t)
             if isinstance(stored, Process):
                 assert afresh is stored, (fn.__name__, pprint(t))
