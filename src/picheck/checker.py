@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, count
-from typing import Callable, Iterable, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator
 
 from . import verdicts
-from .congruence import EqBudget, flatten, struct_eq_bounded
+from .congruence import UNFOLDS, flatten, struct_eq_bounded
 from .encodings import (
     EncodingScheme,
     anchor_steps,
@@ -29,6 +29,9 @@ from .encodings import (
     translator,
 )
 from .reduction import (
+    PROBE_BUDGET,
+    STATE_CAP,
+    STEP_BUDGET,
     Trace,
     TraceStep,
     diverges_bounded,
@@ -186,16 +189,22 @@ DEFAULT_CRITERIA = (
 )
 
 
+# Soundness explores the full graph on both sides, so a suite run gives it
+# a lower cap than plain reachability; past it the verdict is Inconclusive.
+SOUNDNESS_STATE_CAP = 1500
+
+
 @dataclass(frozen=True)
 class SuiteBudgets:
-    step_budget: int = 64
-    eq: EqBudget = field(default_factory=EqBudget)
-    state_cap: int = 10000
-    # Soundness explores the full graph on both sides, so it gets a lower
-    # cap than plain reachability; past it the verdict is Inconclusive.
-    soundness_state_cap: int = 1500
-    divergence_budget: int = 16
-    success_budget: int = 16
+    """The budgets of a suite run.  Only the step budget, which op-soundness
+    reads, is set per run; the rest are the searches' defaults."""
+
+    step_budget: int = STEP_BUDGET
+    eq: ClassVar[int] = UNFOLDS
+    state_cap: ClassVar[int] = STATE_CAP
+    soundness_state_cap: ClassVar[int] = SOUNDNESS_STATE_CAP
+    divergence_budget: ClassVar[int] = PROBE_BUDGET
+    success_budget: ClassVar[int] = PROBE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -267,14 +276,14 @@ def check_op_completeness(
     s: Process,
     scheme: EncodingScheme,
     *,
-    eq_budget: EqBudget | None = None,
+    eq_budget: int = UNFOLDS,
     translate: Translate | None = None,
 ) -> Verdict:
     """Every source step is simulated in exactly the scheme's step count:
     one communication step, then only inert steps, landing on the encoded
     reduct.  A pattern miss falls back to plain bounded reachability so a
-    defective encoder is reported Violated, not merely unmatched."""
-    eq_budget = eq_budget or EqBudget()
+    defective encoder is reported Violated, not merely unmatched; that
+    search alone decides a step no anchored path matched."""
     tr = _translator(scheme, translate)
     k = anchor_steps(scheme)
     enc_s = tr(s)
@@ -287,11 +296,8 @@ def check_op_completeness(
         while stack and matched is None:
             state, depth, steps = stack.pop()
             if depth == k:
-                v = struct_eq_bounded(state, goal, eq_budget)
-                if v.is_holds:
+                if struct_eq_bounded(state, goal, eq_budget).is_holds:
                     matched = Trace(enc_s, steps)
-                elif v.is_inconclusive:
-                    any_inconclusive = True
                 continue
             for q, rd in reduct_candidates(state):
                 if depth >= 1 and not rd.inert:
@@ -342,15 +348,14 @@ def check_op_soundness(
     s: Process,
     scheme: EncodingScheme,
     *,
-    step_budget: int = 64,
-    eq_budget: EqBudget | None = None,
-    state_cap: int = 10000,
+    step_budget: int = STEP_BUDGET,
+    eq_budget: int = UNFOLDS,
+    state_cap: int = STATE_CAP,
     translate: Translate | None = None,
 ) -> Verdict:
     """Every reachable target state can keep reducing onto the encoding of
     some reachable source state.  Decided by marking matching target states
     and closing backwards; only fully explored graphs may be judged."""
-    eq_budget = eq_budget or EqBudget()
     tr = _translator(scheme, translate)
     # Truncation always yields Inconclusive, so growing graphs only need to
     # be recognized, not mapped; a size cap makes that recognition cheap.
@@ -402,8 +407,8 @@ def check_divergence_reflection(
     s: Process,
     scheme: EncodingScheme,
     *,
-    budget: int = 16,
-    state_cap: int = 10000,
+    budget: int = PROBE_BUDGET,
+    state_cap: int = STATE_CAP,
     translate: Translate | None = None,
 ) -> Verdict:
     """A diverging translation demands a diverging source.  The source probe
@@ -426,8 +431,8 @@ def check_success_sensitiveness(
     s: Process,
     scheme: EncodingScheme,
     *,
-    budget: int = 16,
-    state_cap: int = 10000,
+    budget: int = PROBE_BUDGET,
+    state_cap: int = STATE_CAP,
     translate: Translate | None = None,
 ) -> Verdict:
     """Source and translation agree on whether success is reachable; the
@@ -525,10 +530,9 @@ def check_barb_confluence(s: Process) -> Verdict:
     return verdicts.holds()
 
 
-def check_inert_confluence(s: Process, *, eq_budget: EqBudget | None = None) -> Verdict:
+def check_inert_confluence(s: Process, *, eq_budget: int = UNFOLDS) -> Verdict:
     """The diamond for inert steps: after an inert step, any alternative step
     is still available, and the two orders reconverge in one step."""
-    eq_budget = eq_budget or EqBudget()
     inerts = inert_reducts(s)
     if not inerts:
         return verdicts.holds()
@@ -570,9 +574,9 @@ def _dispatch(
     criterion: Criterion,
     term: Process,
     scheme: EncodingScheme,
-    budgets: SuiteBudgets,
     translate: Translate | None,
     sigmas: tuple[dict[Name, Name], ...],
+    step_budget: int = STEP_BUDGET,
 ) -> Verdict:
     match criterion:
         case Criterion.COMPOSITIONALITY:
@@ -584,43 +588,25 @@ def _dispatch(
                     return v
             return verdicts.holds()
         case Criterion.OP_COMPLETENESS:
-            return check_op_completeness(
-                term,
-                scheme,
-                eq_budget=budgets.eq,
-                translate=translate,
-            )
+            return check_op_completeness(term, scheme, translate=translate)
         case Criterion.OP_SOUNDNESS:
             return check_op_soundness(
                 term,
                 scheme,
-                step_budget=budgets.step_budget,
-                eq_budget=budgets.eq,
-                state_cap=min(budgets.state_cap, budgets.soundness_state_cap),
+                step_budget=step_budget,
+                state_cap=SOUNDNESS_STATE_CAP,
                 translate=translate,
             )
         case Criterion.DIVERGENCE_REFLECTION:
-            return check_divergence_reflection(
-                term,
-                scheme,
-                budget=budgets.divergence_budget,
-                state_cap=budgets.state_cap,
-                translate=translate,
-            )
+            return check_divergence_reflection(term, scheme, translate=translate)
         case Criterion.SUCCESS_SENSITIVENESS:
-            return check_success_sensitiveness(
-                term,
-                scheme,
-                budget=budgets.success_budget,
-                state_cap=budgets.state_cap,
-                translate=translate,
-            )
+            return check_success_sensitiveness(term, scheme, translate=translate)
         case Criterion.LEMMA_SUITE:
             return check_lemma_suite(term, scheme, sigmas=sigmas, translate=translate)
         case Criterion.BARB_CONFLUENCE:
             return check_barb_confluence(asyncify(term))
         case Criterion.INERT_CONFLUENCE:
-            return check_inert_confluence(asyncify(term), eq_budget=budgets.eq)
+            return check_inert_confluence(asyncify(term))
     raise AssertionError(criterion)
 
 
@@ -637,7 +623,7 @@ def run_suite(
     Reports count verdicts per criterion; ``on_verdict`` sees each verdict,
     witness included, as it is given.
     """
-    budgets = budgets or SuiteBudgets()
+    step_budget = (budgets or SuiteBudgets()).step_budget
     sigmas = _default_sigmas(cfg)
     terms = list(generate_terms(cfg))
     reports = []
@@ -646,7 +632,7 @@ def run_suite(
             start = time.perf_counter()
             n_holds = n_violated = n_inconclusive = 0
             for term in terms:
-                v = _dispatch(criterion, term, scheme, budgets, None, sigmas)
+                v = _dispatch(criterion, term, scheme, None, sigmas, step_budget)
                 if on_verdict is not None:
                     on_verdict(criterion, scheme, term, v)
                 if v.is_holds:
@@ -680,17 +666,16 @@ def first_violation(
     cfg: GeneratorConfig,
     scheme: EncodingScheme,
     translate: Translate | None = None,
-    budgets: SuiteBudgets | None = None,
 ) -> tuple[Process, Criterion, Verdict] | None:
     """Scan the corpus term by term through ``MUTATION_SCAN_ORDER``,
     cheapest criteria first, and stop at the first Violated verdict.  Suited
     to confirming that a deliberately broken encoder is caught without
-    paying for a full suite run."""
-    budgets = budgets or SuiteBudgets()
+    paying for a full suite run.  None of those criteria reads the step
+    budget."""
     sigmas = _default_sigmas(cfg)
     for term in generate_terms(cfg):
         for criterion in MUTATION_SCAN_ORDER:
-            v = _dispatch(criterion, term, scheme, budgets, translate, sigmas)
+            v = _dispatch(criterion, term, scheme, translate, sigmas)
             if v.is_violated:
                 return term, criterion, v
     return None

@@ -32,21 +32,17 @@ from .checker import (
     generate_terms,
     run_suite,
 )
-from .congruence import MAX_CANDIDATES, EqBudget, deep_canon, struct_eq_bounded
+from .congruence import MAX_CANDIDATES, UNFOLDS, deep_canon, struct_eq_bounded
 from .encodings import EncodingScheme, encode
-from .reduction import Trace, may_succeed, reduct_candidates
-from .syntax import (
-    FRESH,
-    Input,
-    Output,
-    Par,
-    Process,
-    Repl,
-    Restrict,
-    names,
-    substitute,
-    user,
+from .reduction import (
+    PROBE_BUDGET,
+    STATE_CAP,
+    STEP_BUDGET,
+    Trace,
+    may_succeed,
+    reduct_candidates,
 )
+from .syntax import Process, names, rename_binders, user
 from .text import ParseError, parse, pprint
 from .verdicts import Outcome, Verdict
 
@@ -55,11 +51,6 @@ SCHEME_NAMES = {
     "ht": EncodingScheme.HONDA_TOKORO,
     "honda-tokoro": EncodingScheme.HONDA_TOKORO,
 }
-
-# Budget defaults, read from the budget classes and shown in ``--help`` so
-# an Inconclusive outcome is reproducible.
-_SUITE = SuiteBudgets()
-_EQ = EqBudget()
 
 
 class UsageError(Exception):
@@ -106,34 +97,12 @@ def _term(src: str) -> Process:
 
 
 def _relabel(p: Process) -> Process:
-    """Rename fresh-space binders to unused user names so printed normal
-    forms stay inside the concrete grammar: the letters a to z, and past
-    those a0, a1, a2, ... in turn."""
+    """Rename every binder to an unused user name so printed canonical
+    forms, whose binders are all fresh, stay inside the concrete grammar:
+    the letters a to z, and past those a0, a1, a2, ... in turn."""
     taken = names(p)
     spellings = chain(ascii_lowercase, (f"a{i}" for i in count()))
-    pool = (n for n in map(user, spellings) if n not in taken)
-
-    def walk(q: Process) -> Process:
-        match q:
-            case Restrict(binder=n, body=b) if n.space == FRESH:
-                new = next(pool)
-                return Restrict(new, walk(substitute(b, n, new)))
-            case Restrict(binder=n, body=b):
-                return Restrict(n, walk(b))
-            case Input(subject=s, binder=z, cont=c) if z.space == FRESH:
-                new = next(pool)
-                return Input(s, new, walk(substitute(c, z, new)))
-            case Input(subject=s, binder=z, cont=c):
-                return Input(s, z, walk(c))
-            case Output(subject=s, obj=o, cont=c):
-                return Output(s, o, walk(c))
-            case Par(left=l, right=r):
-                return Par(walk(l), walk(r))
-            case Repl(body=b):
-                return Repl(walk(b))
-        return q
-
-    return walk(p)
+    return rename_binders(p, (n for n in map(user, spellings) if n not in taken))
 
 
 def _emit(record: dict) -> None:
@@ -206,8 +175,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_eq(args) -> int:
     a, b = _term(args.left), _term(args.right)
-    budget = EqBudget(max_unfolds=args.unfolds)
-    v = struct_eq_bounded(a, b, budget)
+    v = struct_eq_bounded(a, b, args.unfolds)
     wording = {
         Outcome.HOLDS: "equivalent",
         Outcome.VIOLATED: "not equivalent",
@@ -306,11 +274,11 @@ def _cmd_check(args) -> int:
     budgets = SuiteBudgets(step_budget=args.step_budget)
     budget_record = {
         "step_budget": args.step_budget,
-        "eq_unfolds": budgets.eq.max_unfolds,
+        "eq_unfolds": UNFOLDS,
         "eq_candidates": MAX_CANDIDATES,
-        "divergence_budget": budgets.divergence_budget,
-        "success_budget": budgets.success_budget,
-        "state_cap": budgets.state_cap,
+        "divergence_budget": PROBE_BUDGET,
+        "success_budget": PROBE_BUDGET,
+        "state_cap": STATE_CAP,
     }
 
     def on_verdict(criterion, scheme, term, v: Verdict) -> None:
@@ -397,15 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
     eq = sub.add_parser("eq", help="decide structural congruence up to bounded unfolding")
     eq.add_argument("left")
     eq.add_argument("right")
-    eq.add_argument("--unfolds", type=_count, default=_EQ.max_unfolds,
-                    help=f"replication unfolding depth (default {_EQ.max_unfolds})")
+    eq.add_argument("--unfolds", type=_count, default=UNFOLDS,
+                    help=f"replication unfolding depth (default {UNFOLDS})")
     eq.add_argument("--json", action="store_true")
     eq.set_defaults(func=_cmd_eq)
 
     sc = sub.add_parser("succeeds", help="search for a reachable success barb")
     sc.add_argument("term")
-    sc.add_argument("--max", type=_count, default=_SUITE.step_budget,
-                    help=f"step budget (default {_SUITE.step_budget})")
+    sc.add_argument("--max", type=_count, default=STEP_BUDGET,
+                    help=f"step budget (default {STEP_BUDGET})")
     sc.add_argument("--json", action="store_true")
     sc.set_defaults(func=_cmd_succeeds)
 
@@ -428,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated criterion names, or 'all'")
     ck.add_argument("--scheme", default="both", help="boudol, ht, or both")
     corpus_flags(ck)
-    ck.add_argument("--step-budget", type=_count, default=_SUITE.step_budget,
-                    help=f"reduction step budget (default {_SUITE.step_budget})")
+    ck.add_argument("--step-budget", type=_count, default=STEP_BUDGET,
+                    help=f"reduction step budget (default {STEP_BUDGET})")
     ck.add_argument("--json", action="store_true")
     ck.set_defaults(func=_cmd_check)
 

@@ -16,7 +16,6 @@ redex loop and the lemma suite all read a level through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterable, Iterator
 
@@ -45,13 +44,8 @@ from .verdicts import Verdict
 
 # Most terms ``unfold_replications`` returns for one side of a query.
 MAX_CANDIDATES = 10000
-
-
-@dataclass(frozen=True)
-class EqBudget:
-    """Bounds for one bounded-equivalence query."""
-
-    max_unfolds: int = 2
+# Default unfolding depth of ``struct_eq_bounded``, on each side.
+UNFOLDS = 2
 
 
 def flatten(q: Process) -> tuple[list[Name], list[Process]]:
@@ -338,24 +332,21 @@ def expose(p: Process) -> Process:
             return p
 
 
-def struct_eq_bounded(p: Process, q: Process, budget: EqBudget | None = None) -> Verdict:
+def struct_eq_bounded(p: Process, q: Process, unfolds: int = UNFOLDS) -> Verdict:
     """Semi-decision of full structural congruence.
 
-    Holds on a bounded-unfolding match; Violated only when both terms are
-    replication-free (then the relation is decidable); otherwise a failed
-    search is Inconclusive.
+    Holds on a match among the terms within ``unfolds`` single unfoldings
+    of each side; Violated only when both terms are replication-free (then
+    the relation is decidable); otherwise a failed search is Inconclusive.
     """
-    budget = budget or EqBudget()
     if struct_eq_s(p, q):
         return verdicts.holds(unfolds=0)
     if not has_replication(p) and not has_replication(q):
         return verdicts.violated((p, q))
-    left = unfold_replications(p, budget.max_unfolds)
-    right = unfold_replications(q, budget.max_unfolds)
+    left = unfold_replications(p, unfolds)
+    right = unfold_replications(q, unfolds)
     examined = len(left) + len(right)
     right_keys = {deep_canon(t) for t in right}
     if any(deep_canon(a) in right_keys for a in left):
-        return verdicts.holds(unfolds=budget.max_unfolds, candidates=examined)
-    return verdicts.inconclusive(
-        witness=(p, q), unfolds=budget.max_unfolds, candidates=examined
-    )
+        return verdicts.holds(unfolds=unfolds, candidates=examined)
+    return verdicts.inconclusive(witness=(p, q), unfolds=unfolds, candidates=examined)

@@ -32,7 +32,7 @@ from typing import Callable, Collection
 
 from . import verdicts
 from .congruence import (
-    EqBudget,
+    UNFOLDS,
     canonical_state,
     expose,
     flatten,
@@ -59,6 +59,12 @@ from .syntax import (
     term_size,
 )
 from .verdicts import Outcome, Verdict
+
+# Default budgets of the searches: steps from the start, states kept, and
+# steps of the divergence and success probes.
+STEP_BUDGET = 64
+STATE_CAP = 10000
+PROBE_BUDGET = 16
 
 
 @dataclass(frozen=True)
@@ -240,14 +246,13 @@ def reduces_to(
     p: Process,
     q: Process,
     *,
-    step_budget: int = 64,
-    eq_budget: EqBudget | None = None,
-    state_cap: int = 10000,
+    step_budget: int = STEP_BUDGET,
+    eq_budget: int = UNFOLDS,
+    state_cap: int = STATE_CAP,
 ) -> Verdict:
     """Can p reach a term congruent to q?  Holds with a trace witness;
     Violated only when the whole reachable graph was seen and every
     equivalence test was definite."""
-    eq_budget = eq_budget or EqBudget()
     fn_q = free_names(q)
 
     def goal(t: Process) -> Outcome:
@@ -263,8 +268,8 @@ def reduces_to(
 def may_succeed(
     p: Process,
     *,
-    step_budget: int = 64,
-    state_cap: int = 10000,
+    step_budget: int = STEP_BUDGET,
+    state_cap: int = STATE_CAP,
 ) -> Verdict:
     """Can p reach a state with an unguarded success leaf?"""
     # Reduction steps never create a success leaf, so a term without one,
@@ -301,8 +306,8 @@ def growth_cap(p: Process) -> int:
 def diverges_bounded(
     p: Process,
     *,
-    budget: int = 16,
-    state_cap: int = 10000,
+    budget: int = PROBE_BUDGET,
+    state_cap: int = STATE_CAP,
 ) -> Verdict:
     """Bounded divergence probe: is there an infinite reduction from ``p``?
 
@@ -323,12 +328,11 @@ def diverges_bounded(
     n_states = len(graph.states)
     loop = _cycle(graph.edges, graph.root)
     if loop is not None:
-        states = graph.states
-        steps = []
-        for k, qk in zip(loop, loop[1:]):
-            rd = next(rd for q, rd in reduct_candidates(states[k]) if canonical_state(q) == qk)
-            steps.append(TraceStep(states[k], states[qk], rd))
-        return verdicts.holds(witness=Trace(p, tuple(steps)), steps=len(steps), states=n_states)
+        states, edges = graph.states, graph.edges
+        steps = tuple(
+            TraceStep(states[k], states[qk], edges[k][qk]) for k, qk in zip(loop, loop[1:])
+        )
+        return verdicts.holds(witness=Trace(p, steps), steps=len(steps), states=n_states)
     if graph.truncated:
         return verdicts.inconclusive(witness=p, states=n_states, depth=graph.depth)
     return verdicts.violated(witness=p, states=n_states, depth=graph.depth)
@@ -362,10 +366,11 @@ def _cycle(edges: dict, root: Process) -> list[Process] | None:
 class ReductionGraph:
     """Bounded forward exploration: canonical states, edges, truncation flag.
 
-    ``parents`` maps each state to the (parent state, redex) that first
-    reached it, None for the root.  ``found`` is the first state a goal
-    accepted, and ``inconclusive`` whether the goal ever answered
-    Inconclusive.
+    ``edges`` maps each expanded state to a dict from its successors' keys
+    to the redex of the step.  ``parents`` maps each state to the (parent
+    state, redex) that first reached it, None for the root.  ``found`` is
+    the first state a goal accepted, and ``inconclusive`` whether the goal
+    ever answered Inconclusive.
     """
 
     root: Process
@@ -393,8 +398,8 @@ def explore(
     p: Process,
     *,
     goal: Callable[[Process], Outcome] | None = None,
-    step_budget: int = 64,
-    state_cap: int = 10000,
+    step_budget: int = STEP_BUDGET,
+    state_cap: int = STATE_CAP,
     size_cap: int | None = None,
 ) -> ReductionGraph:
     """Breadth-first exploration up to the budgets.
@@ -408,7 +413,7 @@ def explore(
     every caller treats a truncated graph as Inconclusive."""
     root = canonical_state(p)
     states: dict[Process, Process] = {root: p}
-    edges: dict[Process, tuple] = {}
+    edges: dict[Process, dict[Process, RedexDescriptor]] = {}
     parents: dict[Process, tuple | None] = {root: None}
     graph = ReductionGraph(root, states, edges, parents)
     if goal is not None and _accepts(graph, goal, root):
@@ -421,12 +426,12 @@ def explore(
         for k in frontier:
             if size_cap is not None and term_size(states[k]) > size_cap:
                 truncated = True
-                edges[k] = ()
+                edges[k] = {}
                 continue
-            succ_keys = []
+            succs = edges[k] = {}
             for q, rd in reduct_candidates(states[k]):
                 qk = canonical_state(q)
-                succ_keys.append(qk)
+                succs[qk] = rd
                 if qk not in states:
                     if len(states) >= state_cap:
                         truncated = True
@@ -437,7 +442,6 @@ def explore(
                         graph.truncated, graph.depth = truncated, depth + 1
                         return graph
                     nxt.append(qk)
-            edges[k] = tuple(dict.fromkeys(succ_keys))
         frontier = nxt
         depth += 1
     graph.truncated, graph.depth = truncated or bool(frontier), depth

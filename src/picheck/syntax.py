@@ -45,7 +45,8 @@ the two kinds of entry share the node's dict.
 from __future__ import annotations
 
 from functools import wraps
-from typing import Callable, Iterable, Mapping, TypeVar
+from itertools import count
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 USER = "user"
 FRESH = "fresh"
@@ -446,6 +447,32 @@ def _rename_under_binder(b: Name, body: Process, sigma: dict[Name, Name]):
     return b, _rename(body, sigma)
 
 
+def rename_binders(p: Process, supply: Iterator[Name]) -> Process:
+    """``p`` with its binders renamed, in preorder, to the names ``supply``
+    yields in turn; free names are kept.  The supplied names must be
+    distinct and not free in ``p``, so that no binder captures."""
+
+    def go(q: Process, env: dict[Name, Name]) -> Process:
+        match q:
+            case Nil() | Success() | Hole():
+                return q
+            case Output(subject=s, obj=o, cont=c):
+                return Output(env.get(s, s), env.get(o, o), go(c, env))
+            case Input(subject=s, binder=b, cont=c):
+                nb = next(supply)
+                return Input(env.get(s, s), nb, go(c, {**env, b: nb}))
+            case Par(left=l, right=r):
+                return Par(go(l, env), go(r, env))
+            case Restrict(binder=b, body=body):
+                nb = next(supply)
+                return Restrict(nb, go(body, {**env, b: nb}))
+            case Repl(body=body):
+                return Repl(go(body, env))
+        raise TypeError(f"not a process: {q!r}")
+
+    return go(p, {})
+
+
 @memo
 def alpha_canonical(p: Process) -> Process:
     """Canonical representative of the alpha-class of ``p``.
@@ -458,27 +485,7 @@ def alpha_canonical(p: Process) -> Process:
     for n in free_names(p):
         if n.is_fresh:
             base = max(base, n.key + 1)
-    counter = iter(range(base, base + 10**9))
-
-    def go(q: Process, env: dict[Name, Name]) -> Process:
-        match q:
-            case Nil() | Success() | Hole():
-                return q
-            case Output(subject=s, obj=o, cont=c):
-                return Output(env.get(s, s), env.get(o, o), go(c, env))
-            case Input(subject=s, binder=b, cont=c):
-                nb = fresh(next(counter))
-                return Input(env.get(s, s), nb, go(c, {**env, b: nb}))
-            case Par(left=l, right=r):
-                return Par(go(l, env), go(r, env))
-            case Restrict(binder=b, body=body):
-                nb = fresh(next(counter))
-                return Restrict(nb, go(body, {**env, b: nb}))
-            case Repl(body=body):
-                return Repl(go(body, env))
-        raise TypeError(f"not a process: {q!r}")
-
-    return go(p, {})
+    return rename_binders(p, map(fresh, count(base)))
 
 
 def alpha_eq(p: Process, q: Process) -> bool:

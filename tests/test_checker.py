@@ -21,7 +21,6 @@ from picheck import (
     SUCCESS,
     Criterion,
     EncodingScheme,
-    EqBudget,
     GeneratorConfig,
     Input,
     Mutation,
@@ -29,6 +28,7 @@ from picheck import (
     Par,
     Repl,
     Restrict,
+    SuiteBudgets,
     Trace,
     alpha_canonical,
     alpha_eq,
@@ -195,7 +195,7 @@ def test_op_completeness_witness_shape():
         assert len(trace.steps) == k
         assert not trace.steps[0].redex.inert
         assert all(st.redex.inert for st in trace.steps[1:])
-        assert struct_eq_bounded(trace.steps[-1].target, encode(s1, scheme), EqBudget()).is_holds
+        assert struct_eq_bounded(trace.steps[-1].target, encode(s1, scheme)).is_holds
 
 
 def test_op_completeness_under_restricted_subject():
@@ -206,6 +206,17 @@ def test_op_completeness_under_restricted_subject():
         (s1, trace, pattern), = v.witness
         assert len(trace.steps) == anchor_steps(scheme)
         assert all(st.redex.inert for st in trace.steps[1:])
+
+
+def test_op_completeness_keeps_a_match_past_unknown_paths():
+    # Nested replications: some anchored paths end on states whose bounded
+    # congruence to the encoded reduct is unknown, but another path matches
+    # every source step, so the verdict is Holds.
+    for src in ("!(x(x).0 | !x!x.0)", "!!(x(x).0 | x!y.0)"):
+        for scheme in SCHEMES:
+            v = check_op_completeness(parse(src), scheme)
+            assert v.is_holds, (src, scheme)
+            assert all(pattern for _, _, pattern in v.witness)
 
 
 def test_op_completeness_flags_dropped_forwarder():
@@ -420,8 +431,9 @@ def test_run_configuration_is_pinned():
         "cfg", "schemes", "budgets", "criteria", "on_verdict",
     ]
     assert list(inspect.signature(first_violation).parameters) == [
-        "cfg", "scheme", "translate", "budgets",
+        "cfg", "scheme", "translate",
     ]
+    assert [f.name for f in dataclasses.fields(SuiteBudgets)] == ["step_budget"]
 
 
 @pytest.mark.parametrize("runner", ["run_suite", "first_violation"])

@@ -15,7 +15,6 @@ from test_syntax import TERMS as SYNTAX_TERMS
 
 from picheck.checker import GeneratorConfig, generate_terms
 from picheck.congruence import (
-    EqBudget,
     canonical_state,
     deep_canon,
     expose,
@@ -490,24 +489,24 @@ def test_unfold_matches_oracle_on_replicated_corpus():
 
 def test_bounded_eq_unfolds_replication():
     p = parse("!x!y.0")
-    v = struct_eq_bounded(p, Par(parse("x!y.0"), p), EqBudget(max_unfolds=1))
+    v = struct_eq_bounded(p, Par(parse("x!y.0"), p), 1)
     assert v.is_holds
 
 
 def test_bounded_eq_definite_mismatch_without_replication():
-    v = struct_eq_bounded(parse("x!y.0"), parse("x(z).0"), EqBudget())
+    v = struct_eq_bounded(parse("x!y.0"), parse("x(z).0"))
     assert v.is_violated
 
 
 def test_bounded_eq_unfold_and_match():
     p = parse("!x!y.0")
     q = parse("!x!y.0 | x!y.0")
-    assert struct_eq_bounded(p, q, EqBudget()).is_holds
+    assert struct_eq_bounded(p, q).is_holds
     assert _closure(Par(p.body, p)) & _closure(q)
 
 
 def test_bounded_eq_inconclusive_on_distinct_replications():
-    v = struct_eq_bounded(parse("!x!y.0"), parse("!x!y.0 | !x!y.0"), EqBudget())
+    v = struct_eq_bounded(parse("!x!y.0"), parse("!x!y.0 | !x!y.0"))
     assert v.is_inconclusive
 
 
