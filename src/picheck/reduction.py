@@ -366,6 +366,10 @@ def _cycle(edges: dict, root: Process) -> list[Process] | None:
 class ReductionGraph:
     """Bounded forward exploration: canonical states, edges, truncation flag.
 
+    ``states`` maps each state's key to the term first reached there.  The
+    key is the term's ``canonical_state``, except at the root of a term
+    that cannot step: such a graph has no other state, so nothing is ever
+    compared with its key, and the root is its own key.
     ``edges`` maps each expanded state to a dict from its successors' keys
     to the redex of the step.  ``parents`` maps each state to the (parent
     state, redex) that first reached it, None for the root.  ``found`` is
@@ -410,8 +414,12 @@ def explore(
     larger than that many nodes (marking the graph truncated): only
     replication can grow a term, so runaway growth signals an infinite
     graph, and cutting it early never changes a definite answer because
-    every caller treats a truncated graph as Inconclusive."""
-    root = canonical_state(p)
+    every caller treats a truncated graph as Inconclusive.
+
+    Every reached state is keyed by its ``canonical_state``, so congruent
+    states fold into one.  A root whose barbs show no step (see ``_barbs``)
+    is keyed by itself: it has no successor, so its key meets no other."""
+    root = canonical_state(p) if _barbs(p)[2] else p
     states: dict[Process, Process] = {root: p}
     edges: dict[Process, dict[Process, RedexDescriptor]] = {}
     parents: dict[Process, tuple | None] = {root: None}

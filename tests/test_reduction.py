@@ -8,13 +8,14 @@ the same subject directly from the definition, leaving replicated
 components in place.
 """
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from test_syntax import TERMS
 
-from picheck import verdicts
+from picheck import reduction, verdicts
 from picheck.checker import GeneratorConfig, asyncify, generate_terms
 from picheck.congruence import (
     canonical_state,
@@ -26,6 +27,7 @@ from picheck.congruence import (
 from picheck.encodings import EncodingScheme, encode
 from picheck.reduction import (
     RedexDescriptor,
+    ReductionGraph,
     Trace,
     TraceStep,
     _barbs,
@@ -376,6 +378,24 @@ def test_explore_folds_replication_self_loop():
     assert g.edges[root][root].subject == x
 
 
+def test_explore_builds_no_canonical_form_for_a_root_that_cannot_step(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return canonical_state(p)
+
+    corpus = _with_encodings(list(generate_terms(GeneratorConfig(max_nodes=3))))
+    stuck = [t for t in corpus if not reduct_candidates(t)]
+    assert stuck
+    monkeypatch.setattr(reduction, "canonical_state", counting)
+    for t in stuck:
+        g = explore(t)
+        assert calls == [], pprint(t)
+        assert g.states == {t: t} and g.edges == {t: {}}, pprint(t)
+        assert not g.truncated and g.depth == 1, pprint(t)
+
+
 def test_explore_respects_state_cap():
     # The encoded replicated pair accumulates handshake residues, so its
     # graph keeps producing fresh states until the cap stops it.
@@ -654,14 +674,22 @@ def ref_diverges_bounded(p, budget, state_cap=10000):
     return verdicts.inconclusive(witness=p, depth=budget, states=visited)
 
 
-def test_steps_equal_the_reference_enumerators():
-    # Whole (reduct, redex) tuples, order included.  Encodings and their
-    # reducts expose replications; asynchronous random terms and their
-    # reducts carry the inert steps.
+@functools.cache
+def _enumerator_terms():
+    """The 3-node corpus with its encodings, 2,000 asynchronous random terms
+    of up to 8 nodes, and the one-step reducts of all of these."""
     terms = _with_encodings(list(generate_terms(GeneratorConfig(max_nodes=3))))
     cfg = GeneratorConfig(max_nodes=8, random_count=2000, seed=8)
     terms += [asyncify(t) for t in generate_terms(cfg)]
     terms += [q for t in terms for q, _ in reduct_candidates(t)]
+    return tuple(terms)
+
+
+def test_steps_equal_the_reference_enumerators():
+    # Whole (reduct, redex) tuples, order included.  Encodings and their
+    # reducts expose replications; asynchronous random terms and their
+    # reducts carry the inert steps.
+    terms = _enumerator_terms()
     inert_seen = 0
     for t in terms:
         assert reduct_candidates(t) == ref_reduct_candidates(t), pprint(t)
@@ -670,6 +698,134 @@ def test_steps_equal_the_reference_enumerators():
             inert_seen += bool(inert_reducts(t))
     assert inert_seen >= 20
     assert any(expose(t) != t and reduct_candidates(t) for t in terms)
+
+
+def ref_explore(p, *, goal=None, step_budget=64, state_cap=10000, size_cap=None):
+    """``explore`` as it was when it keyed every root by its canonical
+    state, kept as the reference."""
+    root = canonical_state(p)
+    states = {root: p}
+    edges = {}
+    parents = {root: None}
+    graph = ReductionGraph(root, states, edges, parents)
+
+    def accepts(key):
+        outcome = goal(states[key])
+        if outcome is Outcome.HOLDS:
+            graph.found = key
+            return True
+        if outcome is Outcome.INCONCLUSIVE:
+            graph.inconclusive = True
+        return False
+
+    if goal is not None and accepts(root):
+        return graph
+    truncated = False
+    frontier = [root]
+    depth = 0
+    while frontier and depth < step_budget:
+        nxt = []
+        for k in frontier:
+            if size_cap is not None and term_size(states[k]) > size_cap:
+                truncated = True
+                edges[k] = {}
+                continue
+            succs = edges[k] = {}
+            for q, rd in reduct_candidates(states[k]):
+                qk = canonical_state(q)
+                succs[qk] = rd
+                if qk not in states:
+                    if len(states) >= state_cap:
+                        truncated = True
+                        continue
+                    states[qk] = q
+                    parents[qk] = (k, rd)
+                    if goal is not None and accepts(qk):
+                        graph.truncated, graph.depth = truncated, depth + 1
+                        return graph
+                    nxt.append(qk)
+        frontier = nxt
+        depth += 1
+    graph.truncated, graph.depth = truncated or bool(frontier), depth
+    return graph
+
+
+def _read_graph(g):
+    """A graph read through its states: every key replaced by the term
+    stored under it, so graphs that key their root differently compare.
+    A successor the state cap kept out stays a key."""
+    term = g.states
+    return (
+        list(term.values()),
+        g.truncated,
+        g.depth,
+        g.inconclusive,
+        None if g.found is None else term[g.found],
+        [
+            (term[k], None if link is None else (term[link[0]], link[1]))
+            for k, link in g.parents.items()
+        ],
+        [
+            (term[k], term.get(qk, qk), rd)
+            for k, succs in g.edges.items()
+            for qk, rd in succs.items()
+        ],
+    )
+
+
+EXPLORE_BUDGETS = BUDGETS + ((0, 10000),)  # (step_budget, state_cap)
+
+# A reduct of an encoding in the comparison set whose graph at 64 steps and
+# 10,000 states takes over a minute even with the growth cap: every step
+# adds an alike copy of a restricted replica, and each copy makes its
+# canonical form slower.  The smaller budgets still cover it.
+SLOW_WHOLE_GRAPH = alpha_canonical(
+    parse("new a. new b. (!new c. (a!a.0 | a(d).(d!c.0 | d(e).0)) | (a!b.0 | a(f).0))")
+)
+
+
+def _explore_runs(p):
+    """(step_budget, state_cap, size_cap) of the comparison: each budget with
+    the growth cap and without it.  Without the cap, a replicating term's
+    graph at 64 steps grows until the state cap, minutes on some terms, so
+    that one run keeps the cap."""
+    for step_budget, state_cap in EXPLORE_BUDGETS:
+        whole = (step_budget, state_cap) == EXPLORE_BUDGETS[0]
+        if whole and alpha_canonical(p) == SLOW_WHOLE_GRAPH:
+            continue
+        yield step_budget, state_cap, growth_cap(p)
+        if not (whole and has_replication(p)):
+            yield step_budget, state_cap, None
+
+
+def _assert_explore_equals_the_reference(p):
+    """Both searches from ``p`` read the same, without a goal and with one:
+    the first state other than ``p`` that cannot step, Inconclusive on a
+    state with an unguarded success leaf."""
+
+    def goal(t):
+        if t is not p and not _barbs(t)[2]:
+            return Outcome.HOLDS
+        return Outcome.INCONCLUSIVE if has_success(t) else Outcome.VIOLATED
+
+    for step_budget, state_cap, size_cap in _explore_runs(p):
+        for g in (None, goal):
+            kw = dict(goal=g, step_budget=step_budget, state_cap=state_cap, size_cap=size_cap)
+            assert _read_graph(explore(p, **kw)) == _read_graph(ref_explore(p, **kw)), pprint(p)
+
+
+def test_explore_equals_the_reference_search():
+    terms = _enumerator_terms()
+    for t in terms:
+        _assert_explore_equals_the_reference(t)
+    assert any(not _barbs(t)[2] for t in terms) and any(_barbs(t)[2] for t in terms)
+    assert SLOW_WHOLE_GRAPH in {alpha_canonical(t) for t in terms}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(TERMS)
+def test_explore_equals_the_reference_search_on_generated_terms(p):
+    _assert_explore_equals_the_reference(p)
 
 
 def _assert_loop_witness(p, v):
