@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, count
@@ -79,74 +80,99 @@ class GeneratorConfig:
 
 
 def _exhaustive(cfg: GeneratorConfig) -> Iterator[Process]:
-    alphabet = list(cfg.name_alphabet)
-    seen = {alpha_canonical(NIL)}
+    """One representative per alpha class, layer by layer, first found kept.
+
+    ``by_size[k - 1]`` holds one term of each alpha class of that size, so
+    the class of ``Output(x, y, c)``, ``Par(l, r)`` or ``Repl(b)`` is fixed
+    by its operator, its names and its children's classes: such a candidate
+    never equals another one, nor any smaller term, and is appended without
+    a key.  Only a binder can make two candidates alpha-equal, as in
+    ``x(x).0`` and ``x(y).0``; ``Input`` and ``Restrict`` candidates are
+    keyed by ``alpha_canonical`` against the layer's keys.  A repeated
+    letter would repeat the unkeyed candidates, so the alphabet is deduped
+    first, keeping its order.
+    """
+    alphabet = list(dict.fromkeys(cfg.name_alphabet))
     by_size: dict[int, list[Process]] = {0: [NIL]}
     yield NIL
     for k in range(1, cfg.max_nodes + 1):
         layer: list[Process] = []
+        keys: set[Process] = set()
 
-        def add(t: Process) -> None:
+        def add_binder(t: Process) -> None:
             key = alpha_canonical(t)
-            if key not in seen:
-                seen.add(key)
+            if key not in keys:
+                keys.add(key)
                 layer.append(t)
 
         if k == 1:
-            add(SUCCESS)
+            layer.append(SUCCESS)
         for cont in by_size[k - 1]:
             for x in alphabet:
                 for y in alphabet:
-                    add(Output(x, y, cont))
+                    layer.append(Output(x, y, cont))
                 for z in alphabet:
-                    add(Input(x, z, cont))
+                    add_binder(Input(x, z, cont))
         for body in by_size[k - 1]:
             for b in alphabet:
-                add(Restrict(b, body))
-            add(Repl(body))
+                add_binder(Restrict(b, body))
+            layer.append(Repl(body))
         for i in range(k):
             for l in by_size[i]:
                 for r in by_size[k - 1 - i]:
-                    add(Par(l, r))
+                    layer.append(Par(l, r))
         by_size[k] = layer
         yield from layer
 
 
-# The random corpus's node kinds and their weights 3, 3, 3, 2, 1, 1, 1,
-# accumulated once here rather than by rng.choices on every draw; the stream
-# of draws is the same.
+# The random corpus's node kinds and their weights 3, 3, 3, 2, 1, 1, 1.  A
+# kind is _KINDS[bisect(_CUM_WEIGHTS, rng.random() * 14.0, 0, 6)], which is
+# what rng.choices(_KINDS, cum_weights=_CUM_WEIGHTS)[0] computes, and
+# _random's below(n) is the loop that rng.choice over n items and
+# rng.randint(a, a + n - 1) run (CPython 3.10 to 3.13).  So the terms are
+# the ones those calls draw, without their per-call overhead.
 _KINDS = ("out", "in", "par", "new", "nil", "repl", "ok")
 _CUM_WEIGHTS = (3, 6, 9, 11, 12, 13, 14)
 
 
 def _random(cfg: GeneratorConfig) -> Iterator[Process]:
-    alphabet = list(cfg.name_alphabet)
+    alphabet = cfg.name_alphabet
+    letters = len(alphabet)
     rng = random.Random(cfg.seed)
+    draw, getrandbits = rng.random, rng.getrandbits
+
+    def below(n: int) -> int:
+        # Uniform on range(n): k bits at a time until the draw is below n.
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
 
     def go(budget: int) -> Process:
         if budget <= 0:
             return NIL
-        kind = rng.choices(_KINDS, cum_weights=_CUM_WEIGHTS)[0]
+        kind = _KINDS[bisect(_CUM_WEIGHTS, draw() * 14.0, 0, 6)]
         match kind:
             case "nil":
                 return NIL
             case "ok":
                 return SUCCESS
             case "out":
-                return Output(rng.choice(alphabet), rng.choice(alphabet), go(budget - 1))
+                return Output(alphabet[below(letters)], alphabet[below(letters)], go(budget - 1))
             case "in":
-                return Input(rng.choice(alphabet), rng.choice(alphabet), go(budget - 1))
+                return Input(alphabet[below(letters)], alphabet[below(letters)], go(budget - 1))
             case "par":
-                split = rng.randint(0, budget - 1)
+                split = below(budget)
                 return Par(go(split), go(budget - 1 - split))
             case "new":
-                return Restrict(rng.choice(alphabet), go(budget - 1))
+                return Restrict(alphabet[below(letters)], go(budget - 1))
             case "repl":
                 return Repl(go(budget - 1))
         raise AssertionError(kind)
 
     for _ in range(cfg.random_count):
-        yield go(rng.randint(1, cfg.max_nodes))
+        yield go(1 + below(cfg.max_nodes))
 
 
 def generate_terms(cfg: GeneratorConfig) -> Iterator[Process]:
@@ -154,7 +180,9 @@ def generate_terms(cfg: GeneratorConfig) -> Iterator[Process]:
 
     Exhaustive mode yields one representative per alpha-class, smallest terms
     first; random mode yields exactly ``random_count`` terms from the seed,
-    each of 1 to ``max_nodes`` nodes.
+    each of at most ``max_nodes`` nodes.  A random term is drawn against a
+    node budget of 1 to ``max_nodes`` and may stop short of it: a ``0`` leaf
+    ends a branch, so some draws are ``0`` itself.
     """
     if not cfg.name_alphabet:
         raise ValueError("name alphabet must not be empty")

@@ -6,6 +6,7 @@ actually fire.
 """
 
 import dataclasses
+import hashlib
 import inspect
 import random
 import time
@@ -100,6 +101,97 @@ def test_one_letter_corpus_holds_the_self_communication():
     assert all(names <= {x} for names in map(free_names, got))
 
 
+def _reference_exhaustive_terms(cfg):
+    """The exhaustive corpus as first written: every candidate keyed by its
+    alpha form against every term kept so far."""
+    alphabet = list(cfg.name_alphabet)
+    seen = {alpha_canonical(NIL)}
+    by_size = {0: [NIL]}
+    out = [NIL]
+    for k in range(1, cfg.max_nodes + 1):
+        layer = []
+
+        def add(t):
+            key = alpha_canonical(t)
+            if key not in seen:
+                seen.add(key)
+                layer.append(t)
+
+        if k == 1:
+            add(SUCCESS)
+        for cont in by_size[k - 1]:
+            for a in alphabet:
+                for b in alphabet:
+                    add(Output(a, b, cont))
+                for c in alphabet:
+                    add(Input(a, c, cont))
+        for body in by_size[k - 1]:
+            for b in alphabet:
+                add(Restrict(b, body))
+            add(Repl(body))
+        for i in range(k):
+            for l in by_size[i]:
+                for r in by_size[k - 1 - i]:
+                    add(Par(l, r))
+        by_size[k] = layer
+        out.extend(layer)
+    return out
+
+
+def _assert_same_nodes(got, want):
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "letters, max_nodes",
+    [("xy", 4), ("x", 5), ("xyz", 3), ("yx", 3), ("xx", 3)],
+)
+def test_exhaustive_corpus_equals_the_reference(letters, max_nodes):
+    cfg = GeneratorConfig(max_nodes=max_nodes, name_alphabet=tuple(map(user, letters)))
+    _assert_same_nodes(list(generate_terms(cfg)), _reference_exhaustive_terms(cfg))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from("xyz"), min_size=1, max_size=3), st.integers(0, 3))
+def test_exhaustive_corpus_equals_the_reference_on_any_alphabet(letters, max_nodes):
+    cfg = GeneratorConfig(max_nodes=max_nodes, name_alphabet=tuple(map(user, letters)))
+    _assert_same_nodes(list(generate_terms(cfg)), _reference_exhaustive_terms(cfg))
+
+
+def test_exhaustive_corpus_keys_only_binder_candidates(monkeypatch):
+    # Only Input and Restrict candidates can be alpha-equal to another
+    # candidate; keying every candidate made 22,452 calls here.
+    calls = []
+    real = checker.alpha_canonical
+    monkeypatch.setattr(checker, "alpha_canonical", lambda p: calls.append(p) or real(p))
+    assert len(corpus(4)) == 20991
+    assert len(calls) == 9282
+    assert all(isinstance(p, (Input, Restrict)) for p in calls)
+
+
+def test_corpus_digests_are_pinned():
+    # The sha256 of each corpus's printed terms, one a line: any change to
+    # which terms a generator yields, or in which order, shows here.
+    corpora = (
+        (
+            GeneratorConfig(max_nodes=4),
+            "1e2fd0bba477ea0d80829ae7dcb0664197fc9d9a7b703b54afae46e42e55fa93",
+        ),
+        (
+            GeneratorConfig(max_nodes=6, random_count=2000, seed=0),
+            "297648613b3bc8b7bd0939561d44cf27f68940bf236435e780cb7eccce0457d6",
+        ),
+        (
+            GeneratorConfig(max_nodes=8, random_count=50000, seed=0),
+            "53ea2a5726cdafd43f364f037a8d6f46d71ef4922a8fcf348067ab44aac0391a",
+        ),
+    )
+    for cfg, digest in corpora:
+        text = "\n".join(map(pprint, generate_terms(cfg)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, cfg
+
+
 def test_random_corpus_is_seed_deterministic():
     cfg = GeneratorConfig(max_nodes=5, random_count=50, seed=7)
     first = list(generate_terms(cfg))
@@ -137,8 +229,19 @@ def _reference_random_terms(cfg):
 
 
 def test_random_corpus_draws_the_reference_stream():
-    cfg = GeneratorConfig(max_nodes=7, random_count=300, seed=11)
-    assert list(generate_terms(cfg)) == _reference_random_terms(cfg)
+    # At 8 nodes a split below(8) takes 4 bits and rejects draws of 8 to 15;
+    # with a repeated letter every index is still drawn below 2.
+    for seed in (0, 6, 11):
+        for max_nodes in (1, 6, 8):
+            for letters in ("xy", "xyz", "xx"):
+                cfg = GeneratorConfig(
+                    max_nodes=max_nodes,
+                    name_alphabet=tuple(map(user, letters)),
+                    random_count=300,
+                    seed=seed,
+                )
+                got = list(generate_terms(cfg))
+                _assert_same_nodes(got, _reference_random_terms(cfg))
 
 
 def test_empty_alphabet_is_rejected():
@@ -147,8 +250,9 @@ def test_empty_alphabet_is_rejected():
 
 
 def test_random_corpus_without_a_node_is_rejected():
-    # A random term has 1 to max_nodes nodes; the exhaustive corpus at 0
-    # nodes is just 0 (above).
+    # A random term is drawn against a budget of 1 to max_nodes nodes (it
+    # may stop short, even at 0); the exhaustive corpus at 0 nodes is just 0
+    # (above).
     with pytest.raises(ValueError, match="max_nodes"):
         list(generate_terms(GeneratorConfig(max_nodes=0, random_count=3)))
 

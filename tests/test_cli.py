@@ -270,6 +270,14 @@ def test_check_with_every_spare_letter_in_the_alphabet(capsys):
     assert all(line.startswith("PASS") for line in out.splitlines())
 
 
+def test_check_json_reads_a_repeated_letter_once(capsys):
+    argv = ("check", "--max-nodes", "3", "--criteria", "all", "--json")
+    once = run(capsys, *argv, "--names", "x")
+    twice = run(capsys, *argv, "--names", "xx")
+    assert once[0] == twice[0] == 0
+    assert once[1] == twice[1]
+
+
 def test_check_json_does_not_depend_on_the_hash_seed():
     # Nodes and names hash by identity, that is by address: the run under
     # the system allocator puts them at other addresses, so any output that
