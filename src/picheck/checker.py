@@ -35,6 +35,7 @@ from .reduction import (
     STEP_BUDGET,
     Trace,
     TraceStep,
+    can_step,
     diverges_bounded,
     explore,
     growth_cap,
@@ -59,12 +60,13 @@ from .syntax import (
     apply_renaming,
     free_names,
     fresh_name,
+    has_replication,
     is_async,
     names,
     substitute,
     user,
 )
-from .verdicts import Verdict
+from .verdicts import Outcome, Verdict
 
 Translate = Callable[[Process], Process]
 
@@ -383,8 +385,21 @@ def check_op_soundness(
 ) -> Verdict:
     """Every reachable target state can keep reducing onto the encoding of
     some reachable source state.  Decided by marking matching target states
-    and closing backwards; only fully explored graphs may be judged."""
+    and closing backwards; only fully explored graphs may be judged.
+
+    When neither ``s`` nor its translation can step, and the step budget
+    allows one expansion, both graphs have one state, and the only target
+    state is the image of the only source state: Holds with one state and
+    one source, without a search.
+
+    Otherwise each side is explored with ``stop_at_cut``: a truncated graph
+    gives Inconclusive whatever else it holds, so the search stops at its
+    first cut, and an Inconclusive verdict's ``states`` counts the states
+    found by then."""
     tr = _translator(scheme, translate)
+    enc_s = tr(s)
+    if step_budget >= 1 and not (can_step(s) or can_step(enc_s)):
+        return verdicts.holds(states=1, sources=1)
     # Truncation always yields Inconclusive, so growing graphs only need to
     # be recognized, not mapped; a size cap makes that recognition cheap.
     src = explore(
@@ -392,15 +407,16 @@ def check_op_soundness(
         step_budget=step_budget,
         state_cap=state_cap,
         size_cap=growth_cap(s),
+        stop_at_cut=True,
     )
     if src.truncated:
         return verdicts.inconclusive(witness=s, states=len(src.states))
-    enc_s = tr(s)
     tgt = explore(
         enc_s,
         step_budget=step_budget,
         state_cap=state_cap,
         size_cap=growth_cap(enc_s),
+        stop_at_cut=True,
     )
     if tgt.truncated:
         return verdicts.inconclusive(witness=s, states=len(tgt.states))
@@ -439,17 +455,31 @@ def check_divergence_reflection(
     state_cap: int = STATE_CAP,
     translate: Translate | None = None,
 ) -> Verdict:
-    """A diverging translation demands a diverging source.  The source probe
-    runs at twice the budget before the obligation is given up as unknown."""
+    """A diverging translation demands a diverging source: Holds exactly
+    when the target does not diverge or the source does.  The source probe
+    runs at twice the budget before the obligation is given up as unknown.
+
+    The cheapest evidence is read first.  A translation without a
+    replication does not diverge, and one that cannot step gives a probe
+    graph of one state and no cycle once the budget allows one expansion:
+    either way Holds without a probe.  Otherwise the source is
+    probed first, since a source that diverges settles Holds whatever the
+    target does: its cycle is a real infinite reduction.  Only then is the
+    target probed; a target that does not diverge gives Holds, an unknown
+    target Inconclusive, and a diverging target Violated against a
+    terminating source, or Inconclusive against an unknown one."""
     tr = _translator(scheme, translate)
-    target = diverges_bounded(tr(s), budget=budget, state_cap=state_cap)
+    enc_s = tr(s)
+    if budget >= 0 and not (has_replication(enc_s) and can_step(enc_s)):
+        return verdicts.holds(depth=budget)
+    source = diverges_bounded(s, budget=2 * budget, state_cap=state_cap)
+    if source.is_holds:
+        return verdicts.holds(depth=budget)
+    target = diverges_bounded(enc_s, budget=budget, state_cap=state_cap)
     if target.is_violated:
         return verdicts.holds(depth=budget)
     if target.is_inconclusive:
         return verdicts.inconclusive(witness=s, depth=budget)
-    source = diverges_bounded(s, budget=2 * budget, state_cap=state_cap)
-    if source.is_holds:
-        return verdicts.holds(depth=budget)
     if source.is_violated:
         return verdicts.violated(witness=(s, target.witness), depth=budget)
     return verdicts.inconclusive(witness=s, depth=2 * budget)
@@ -464,18 +494,30 @@ def check_success_sensitiveness(
     translate: Translate | None = None,
 ) -> Verdict:
     """Source and translation agree on whether success is reachable; the
-    target side gets the scheme's step-expansion factor more budget."""
+    target side gets the scheme's step-expansion factor more budget.
+
+    Two cases need no probe.  When neither side holds a success leaf,
+    guarded or not, neither can reach one (see ``may_succeed``): Holds.
+    When neither side can step and the budget allows one expansion, each
+    probe would read its root alone, and reach success exactly when the
+    root has an unguarded success leaf."""
     tr = _translator(scheme, translate)
-    k = anchor_steps(scheme)
-    source = may_succeed(s, step_budget=budget, state_cap=state_cap)
-    target = may_succeed(tr(s), step_budget=k * budget, state_cap=state_cap)
-    if source.is_inconclusive or target.is_inconclusive:
-        return verdicts.inconclusive(witness=s, depth=budget)
-    if source.outcome is target.outcome:
+    enc_s = tr(s)
+    if not (s._ok or enc_s._ok):
         return verdicts.holds(depth=budget)
-    return verdicts.violated(
-        witness=(s, source.outcome.name, target.outcome.name), depth=budget
-    )
+    if budget >= 1 and not (can_step(s) or can_step(enc_s)):
+        source, target = (
+            Outcome.HOLDS if has_success(p) else Outcome.VIOLATED for p in (s, enc_s)
+        )
+    else:
+        k = anchor_steps(scheme)
+        source = may_succeed(s, step_budget=budget, state_cap=state_cap).outcome
+        target = may_succeed(enc_s, step_budget=k * budget, state_cap=state_cap).outcome
+    if Outcome.INCONCLUSIVE in (source, target):
+        return verdicts.inconclusive(witness=s, depth=budget)
+    if source is target:
+        return verdicts.holds(depth=budget)
+    return verdicts.violated(witness=(s, source.name, target.name), depth=budget)
 
 
 def _spare_name(taken: Iterable[Name]) -> Name:

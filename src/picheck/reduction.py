@@ -20,9 +20,9 @@ its ``x`` to the other copy's input, which ``reduct_candidates`` misses.
 Most terms cannot step at all, and a term's barbs say so without a
 standard form: ``_barbs`` gives the free subjects of its unguarded outputs
 and inputs, whether two of its unguarded prefixes form a redex, and
-whether one could be inert.  ``reduct_candidates`` and ``inert_reducts``
-read them first and answer ``()`` at once when there is nothing to
-contract.
+whether one could be inert.  ``can_step`` reads the redex bit, and
+``reduct_candidates`` and ``inert_reducts`` read the barbs first and answer
+``()`` at once when there is nothing to contract.
 """
 
 from __future__ import annotations
@@ -209,6 +209,12 @@ def _barbs(p: Process) -> tuple[frozenset, frozenset, bool, bool]:
     return _NO_BARBS
 
 
+def can_step(p: Process) -> bool:
+    """True exactly when ``p`` has a one-step reduct; ``_barbs`` proves the
+    bit exact, and reads it without a standard form."""
+    return _barbs(p)[2]
+
+
 @memo
 def reduct_candidates(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]:
     """One-step reducts modulo congruence, deduplicated by canonical state.
@@ -221,7 +227,7 @@ def reduct_candidates(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]
     A term whose barbs show no redex has none (see ``_barbs``), without a
     standard form.
     """
-    if not _barbs(p)[2]:
+    if not can_step(p):
         return ()
     exposed = expose(p)
     return _steps((p,) if exposed == p else (p, exposed), inert_only=False)
@@ -405,6 +411,7 @@ def explore(
     step_budget: int = STEP_BUDGET,
     state_cap: int = STATE_CAP,
     size_cap: int | None = None,
+    stop_at_cut: bool = False,
 ) -> ReductionGraph:
     """Breadth-first exploration up to the budgets.
 
@@ -416,10 +423,18 @@ def explore(
     graph, and cutting it early never changes a definite answer because
     every caller treats a truncated graph as Inconclusive.
 
+    ``stop_at_cut`` returns the graph, marked truncated, as soon as the
+    search reaches a state larger than ``size_cap`` or ``state_cap``
+    refuses a state; its states are those found so far.  The whole search
+    would be truncated too: such a state is either expanded later, and cut,
+    or left on the last frontier, and a refused state leaves the graph
+    incomplete.  So a caller that reads every truncated graph as unknown,
+    and looks at nothing else in it, may stop there.
+
     Every reached state is keyed by its ``canonical_state``, so congruent
-    states fold into one.  A root whose barbs show no step (see ``_barbs``)
-    is keyed by itself: it has no successor, so its key meets no other."""
-    root = canonical_state(p) if _barbs(p)[2] else p
+    states fold into one.  A root that cannot step (see ``can_step``) is
+    keyed by itself: it has no successor, so its key meets no other."""
+    root = canonical_state(p) if can_step(p) else p
     states: dict[Process, Process] = {root: p}
     edges: dict[Process, dict[Process, RedexDescriptor]] = {}
     parents: dict[Process, tuple | None] = {root: None}
@@ -443,9 +458,15 @@ def explore(
                 if qk not in states:
                     if len(states) >= state_cap:
                         truncated = True
+                        if stop_at_cut:
+                            graph.truncated, graph.depth = True, depth + 1
+                            return graph
                         continue
                     states[qk] = q
                     parents[qk] = (k, rd)
+                    if stop_at_cut and size_cap is not None and term_size(q) > size_cap:
+                        graph.truncated, graph.depth = True, depth + 1
+                        return graph
                     if goal is not None and _accepts(graph, goal, qk):
                         graph.truncated, graph.depth = truncated, depth + 1
                         return graph

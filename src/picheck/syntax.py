@@ -489,7 +489,53 @@ def alpha_canonical(p: Process) -> Process:
 
 
 def alpha_eq(p: Process, q: Process) -> bool:
-    return p == q or alpha_canonical(p) == alpha_canonical(q)
+    """Whether ``p`` and ``q`` differ at most in the spelling of their
+    bound names: ``alpha_canonical(p) is alpha_canonical(q)``, by one walk
+    of both terms side by side, without canonical copies.
+
+    Terms with other free names or sizes differ at once (free-name sets
+    are interned).  Otherwise the walk reads a bound name as the depth of
+    its binder, counted in binders from the root, and a free name as
+    itself; a leaf matches only itself.  Binders at one depth on the two
+    paths are the ones that take the same preorder number in the
+    canonical forms, so the readings agree everywhere exactly when the
+    canonical forms are the same node.  A shared subterm read under equal
+    maps needs no walk.
+    """
+    if p is q:
+        return True
+    if p._free is not q._free or p._size != q._size:
+        return False
+    stack = [(p, q, {}, {}, 0)]
+    while stack:
+        a, b, ea, eb, depth = stack.pop()
+        if a is b and ea == eb:
+            continue
+        kind = type(a)
+        if kind is not type(b):
+            return False
+        if kind is Output:
+            if ea.get(a.subject, a.subject) != eb.get(b.subject, b.subject):
+                return False
+            if ea.get(a.obj, a.obj) != eb.get(b.obj, b.obj):
+                return False
+            stack.append((a.cont, b.cont, ea, eb, depth))
+        elif kind is Input:
+            if ea.get(a.subject, a.subject) != eb.get(b.subject, b.subject):
+                return False
+            ea2, eb2 = {**ea, a.binder: depth}, {**eb, b.binder: depth}
+            stack.append((a.cont, b.cont, ea2, eb2, depth + 1))
+        elif kind is Restrict:
+            ea2, eb2 = {**ea, a.binder: depth}, {**eb, b.binder: depth}
+            stack.append((a.body, b.body, ea2, eb2, depth + 1))
+        elif kind is Par:
+            stack.append((a.right, b.right, ea, eb, depth))
+            stack.append((a.left, b.left, ea, eb, depth))
+        elif kind is Repl:
+            stack.append((a.body, b.body, ea, eb, depth))
+        elif a is not b:
+            return False
+    return True
 
 
 def is_async(p: Process) -> bool:

@@ -34,6 +34,7 @@ from picheck.reduction import (
     _contract,
     _inert_ok,
     _steps,
+    can_step,
     diverges_bounded,
     explore,
     growth_cap,
@@ -394,6 +395,34 @@ def test_explore_builds_no_canonical_form_for_a_root_that_cannot_step(monkeypatc
         assert calls == [], pprint(t)
         assert g.states == {t: t} and g.edges == {t: {}}, pprint(t)
         assert not g.truncated and g.depth == 1, pprint(t)
+
+
+def _assert_stop_at_cut_reads_as_the_whole_search(p, state_cap):
+    """A search stopped at its first cut is truncated exactly when the whole
+    search is, finds a subset of its states, and is the whole graph when
+    it is not truncated."""
+    kw = dict(step_budget=64, state_cap=state_cap, size_cap=growth_cap(p))
+    whole = explore(p, **kw)
+    cut = explore(p, stop_at_cut=True, **kw)
+    assert cut.truncated == whole.truncated, pprint(p)
+    assert cut.states.keys() <= whole.states.keys(), pprint(p)
+    if not whole.truncated:
+        assert _read_graph(cut) == _read_graph(whole), pprint(p)
+    return whole.truncated and len(cut.states) < len(whole.states)
+
+
+def test_explore_stopped_at_its_first_cut_reads_as_the_whole_search():
+    # Both caps of op-soundness's search stop it: the size cap on growing
+    # replications, and a small state cap on the bigger graphs.
+    terms = _with_encodings(list(generate_terms(GeneratorConfig(max_nodes=3))))
+    terms += [q for t in terms for q, _ in reduct_candidates(t)]
+    terms += _with_encodings([parse("!(y(x).0 | y!x.0)"), parse("!x!y.0 | !x(z).0")])
+    shorter = [
+        _assert_stop_at_cut_reads_as_the_whole_search(t, cap)
+        for t in terms
+        for cap in (1500, 3)
+    ]
+    assert sum(shorter) >= 4
 
 
 def test_explore_respects_state_cap():
@@ -900,6 +929,7 @@ def _assert_barbs_agree(p):
     variants = (p,) if exposed == p else (p, exposed)
     _, _, step, inert = _barbs(p)
     assert step == bool(_steps(variants, False)), pprint(p)
+    assert can_step(p) is step
     if not inert:
         assert _steps((p,), True) == (), pprint(p)
 

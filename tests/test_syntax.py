@@ -3,6 +3,7 @@
 import copy
 import importlib
 import inspect
+import itertools
 import pickle
 import pkgutil
 
@@ -14,7 +15,7 @@ import picheck
 from picheck import checker, congruence, encodings, reduction, syntax, text
 from picheck.checker import GeneratorConfig, generate_terms
 from picheck.encodings import EncodingScheme, encode
-from picheck.reduction import has_success
+from picheck.reduction import has_success, reduct_candidates
 from picheck.syntax import (
     NIL,
     SUCCESS,
@@ -39,6 +40,7 @@ from picheck.syntax import (
     is_async,
     memo,
     par_all,
+    rename_binders,
     substitute,
     term_size,
     user,
@@ -183,6 +185,42 @@ def test_alpha_canonical_fixes_binder_free_term():
 def test_alpha_eq_basic():
     assert alpha_eq(parse("x(z).0"), parse("x(w).0"))
     assert not alpha_eq(parse("x!y.0"), parse("x(y).0"))
+
+
+def test_alpha_eq_vectors():
+    # Shadowing, a free name against a bound one, and leaves.
+    assert alpha_eq(parse("x(y).x(y).y!y.0"), parse("x(y).x(z).z!z.0"))
+    assert not alpha_eq(parse("x(y).x(z).y!y.0"), parse("x(y).x(z).z!z.0"))
+    assert not alpha_eq(parse("x(y).y!x.0"), parse("x(x).x!x.0"))
+    assert alpha_eq(parse("new a. (a!x.0 | new a. a!a.0)"), parse("new b. (b!x.0 | new c. c!c.0)"))
+    assert not alpha_eq(parse("new a. (a!x.0 | new b. a!b.0)"), parse("new a. (a!x.0 | new b. b!a.0)"))
+    assert alpha_eq(Hole(0), Hole(0)) and not alpha_eq(Hole(0), Hole(1))
+    assert not alpha_eq(Par(Hole(0), NIL), Par(Hole(1), NIL))
+    assert not alpha_eq(NIL, SUCCESS)
+
+
+def _assert_alpha_eq_reads_the_canonical_forms(p, q):
+    same = alpha_canonical(p) is alpha_canonical(q)
+    assert alpha_eq(p, q) == same == alpha_eq(q, p), (pprint(p), pprint(q))
+    return same
+
+
+def test_alpha_eq_equals_the_canonical_forms_within_each_bucket():
+    # Every pair with the same free names and size, among the 3-node corpus,
+    # its encodings and all their one-step reducts; other pairs differ at
+    # once.
+    corpus = list(generate_terms(GeneratorConfig(max_nodes=3)))
+    terms = corpus + [encode(t, scheme) for scheme in EncodingScheme for t in corpus]
+    terms += [q for t in terms for q, _ in reduct_candidates(t)]
+    buckets = {}
+    for t in dict.fromkeys(terms):
+        buckets.setdefault((free_names(t), term_size(t)), []).append(t)
+    same = [
+        _assert_alpha_eq_reads_the_canonical_forms(p, q)
+        for bucket in buckets.values()
+        for p, q in itertools.combinations(bucket, 2)
+    ]
+    assert len(same) > 100000 and sum(same) >= 8
 
 
 def test_alpha_eq_ignores_fresh_counter_offsets():
@@ -377,6 +415,20 @@ def test_node_facts_match_their_definitions_on_generated_terms(p):
 def test_alpha_canonical_is_idempotent_on_generated_terms(p):
     canon = alpha_canonical(p)
     assert alpha_canonical(canon) is canon
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(TERMS, st.lists(NAMES, min_size=1, max_size=4))
+def test_alpha_eq_equals_the_canonical_forms_on_respelled_terms(p, spellings):
+    # Binders respelled, in preorder, from a short cycle of names: a repeat
+    # shadows an outer binder, and a name free below a binder may be
+    # captured, which changes the term.
+    q = rename_binders(p, itertools.cycle(spellings))
+    _assert_alpha_eq_reads_the_canonical_forms(p, q)
+    _assert_alpha_eq_reads_the_canonical_forms(p, alpha_canonical(q))
+    # Fresh names from #2 on occur nowhere in the generated terms.
+    fresh_spellings = map(fresh, itertools.count(2))
+    assert _assert_alpha_eq_reads_the_canonical_forms(q, rename_binders(q, fresh_spellings))
 
 
 # --- memoised results live on the node ---
