@@ -38,7 +38,6 @@ from .reduction import (
     can_step,
     diverges_bounded,
     explore,
-    growth_cap,
     has_success,
     inert_reducts,
     may_succeed,
@@ -313,9 +312,14 @@ def check_op_completeness(
     one communication step, then only inert steps, landing on the encoded
     reduct.  A pattern miss falls back to plain bounded reachability so a
     defective encoder is reported Violated, not merely unmatched; that
-    search alone decides a step no anchored path matched."""
-    tr = _translator(scheme, translate)
+    search alone decides a step no anchored path matched.
+
+    A term that cannot step has no step to simulate: Holds with no
+    witnesses, without encoding the term."""
     k = anchor_steps(scheme)
+    if not can_step(s):
+        return verdicts.holds(witness=(), steps=k)
+    tr = _translator(scheme, translate)
     enc_s = tr(s)
     details = []
     any_inconclusive = False
@@ -400,24 +404,10 @@ def check_op_soundness(
     enc_s = tr(s)
     if step_budget >= 1 and not (can_step(s) or can_step(enc_s)):
         return verdicts.holds(states=1, sources=1)
-    # Truncation always yields Inconclusive, so growing graphs only need to
-    # be recognized, not mapped; a size cap makes that recognition cheap.
-    src = explore(
-        s,
-        step_budget=step_budget,
-        state_cap=state_cap,
-        size_cap=growth_cap(s),
-        stop_at_cut=True,
-    )
+    src = explore(s, step_budget=step_budget, state_cap=state_cap, stop_at_cut=True)
     if src.truncated:
         return verdicts.inconclusive(witness=s, states=len(src.states))
-    tgt = explore(
-        enc_s,
-        step_budget=step_budget,
-        state_cap=state_cap,
-        size_cap=growth_cap(enc_s),
-        stop_at_cut=True,
-    )
+    tgt = explore(enc_s, step_budget=step_budget, state_cap=state_cap, stop_at_cut=True)
     if tgt.truncated:
         return verdicts.inconclusive(witness=s, states=len(tgt.states))
     images = [tr(term) for term in src.states.values()]
@@ -426,6 +416,8 @@ def check_op_soundness(
     for key, term in tgt.states.items():
         fn_t = free_names(term)
         for image in images:
+            # ``struct_eq_bounded`` makes the same test first; reading it
+            # here saves a call and a Verdict per pair on this hot loop.
             if free_names(image) != fn_t:
                 continue
             v = struct_eq_bounded(term, image, eq_budget)

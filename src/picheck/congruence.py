@@ -335,10 +335,14 @@ def expose(p: Process) -> Process:
 def struct_eq_bounded(p: Process, q: Process, unfolds: int = UNFOLDS) -> Verdict:
     """Semi-decision of full structural congruence.
 
-    Holds on a match among the terms within ``unfolds`` single unfoldings
-    of each side; Violated only when both terms are replication-free (then
-    the relation is decidable); otherwise a failed search is Inconclusive.
+    Violated when the free names differ, since congruence preserves them.
+    Otherwise Holds on a match among the terms within ``unfolds`` single
+    unfoldings of each side; Violated when both terms are replication-free
+    (then the relation is decidable); otherwise a failed search is
+    Inconclusive.
     """
+    if free_names(p) != free_names(q):
+        return verdicts.violated((p, q))
     if struct_eq_s(p, q):
         return verdicts.holds(unfolds=0)
     if not has_replication(p) and not has_replication(q):

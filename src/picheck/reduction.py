@@ -186,6 +186,11 @@ def _barbs(p: Process) -> tuple[frozenset, frozenset, bool, bool]:
     and ``|`` and ``new`` pass either side's answer up.  ``!`` passes the
     body's answer too, although no inert step is taken under a replication:
     answering true too often costs time, never an answer.
+
+    The walk recurses along the term.  That is safe because every state a
+    search builds is at most a small multiple of its start term's size (see
+    ``growth_cap``), and a start term nested deeper than Python's recursion
+    limit is already refused by the same recursion in ``alpha_canonical``.
     """
     match p:
         case Output(subject=x):
@@ -258,13 +263,11 @@ def reduces_to(
 ) -> Verdict:
     """Can p reach a term congruent to q?  Holds with a trace witness;
     Violated only when the whole reachable graph was seen and every
-    equivalence test was definite."""
-    fn_q = free_names(q)
+    equivalence test was definite.  The search stops expanding a state
+    larger than ``growth_cap(p)`` nodes, which can only turn an answer into
+    Inconclusive (see ``explore``)."""
 
     def goal(t: Process) -> Outcome:
-        # Congruence preserves free names, so a mismatch is a definite no.
-        if free_names(t) != fn_q:
-            return Outcome.VIOLATED
         return struct_eq_bounded(t, q, eq_budget).outcome
 
     graph = explore(p, goal=goal, step_budget=step_budget, state_cap=state_cap)
@@ -277,7 +280,10 @@ def may_succeed(
     step_budget: int = STEP_BUDGET,
     state_cap: int = STATE_CAP,
 ) -> Verdict:
-    """Can p reach a state with an unguarded success leaf?"""
+    """Can p reach a state with an unguarded success leaf?  Holds with a
+    trace witness; Violated only when the whole reachable graph was seen.
+    The search stops expanding a state larger than ``growth_cap(p)`` nodes,
+    which can only turn an answer into Inconclusive (see ``explore``)."""
     # Reduction steps never create a success leaf, so a term without one,
     # guarded or not, can never reach an unguarded one.
     if not p._ok:
@@ -305,7 +311,8 @@ def _goal_verdict(graph: ReductionGraph, witness) -> Verdict:
 def growth_cap(p: Process) -> int:
     """Size past which a search from ``p`` stops expanding a state.  Only
     replication grows a term, so a state twice as large (plus 16) signals
-    runaway growth; callers read a cut state as unknown, never as an answer."""
+    runaway growth; ``explore`` marks a graph with a cut state truncated,
+    which every reader takes as unknown, never as an answer."""
     return 2 * term_size(p) + 16
 
 
@@ -319,18 +326,20 @@ def diverges_bounded(
 
     A replication-free term never diverges: each step consumes two prefixes
     and nothing unfolds.  Any other term is explored within ``state_cap``
-    states and ``growth_cap(p)`` nodes per state, until every state up to
-    ``budget`` steps from ``p`` has had its successors listed (one level
-    more than ``budget``, so that a last state with no successors does not
-    truncate the graph).  The graph's states are congruence classes and its
-    edges are steps between them, so a cycle in the explored edges is a real
-    infinite reduction: Holds, with a trace from ``p`` that comes back to a
-    state met earlier on it.  When the graph is complete and acyclic, it is
-    finite and every path in it ends: Violated.  Otherwise Inconclusive.
+    states and ``growth_cap(p)`` nodes per state, as every search is, until
+    every state up to ``budget`` steps from ``p`` has had its successors
+    listed (one level more than ``budget``, so that a last state with no
+    successors does not truncate the graph).  The graph's states are
+    congruence classes and its edges are steps between them, so a cycle in
+    the explored edges is a real infinite reduction, cut or not: Holds, with
+    a trace from ``p`` that comes back to a state met earlier on it.  When
+    the graph is complete and acyclic, it is finite and every path in it
+    ends: Violated.  Otherwise a cut or a budget stopped the search:
+    Inconclusive.
     """
     if not has_replication(p):
         return verdicts.violated(witness=p, states=0, depth=0)
-    graph = explore(p, step_budget=budget + 1, state_cap=state_cap, size_cap=growth_cap(p))
+    graph = explore(p, step_budget=budget + 1, state_cap=state_cap)
     n_states = len(graph.states)
     loop = _cycle(graph.edges, graph.root)
     if loop is not None:
@@ -410,31 +419,39 @@ def explore(
     goal: Callable[[Process], Outcome] | None = None,
     step_budget: int = STEP_BUDGET,
     state_cap: int = STATE_CAP,
-    size_cap: int | None = None,
     stop_at_cut: bool = False,
 ) -> ReductionGraph:
     """Breadth-first exploration up to the budgets.
 
     ``goal``, when given, is asked about each state when it is first
     reached, and the search stops at the first state it Holds on, leaving
-    the rest of the graph unexplored.  ``size_cap`` stops expanding states
-    larger than that many nodes (marking the graph truncated): only
-    replication can grow a term, so runaway growth signals an infinite
-    graph, and cutting it early never changes a definite answer because
-    every caller treats a truncated graph as Inconclusive.
+    the rest of the graph unexplored.  A state larger than ``growth_cap(p)``
+    nodes is reached but not expanded, and the graph is marked truncated:
+    only replication grows a term, so such a state signals runaway growth.
+    The bound also keeps every state a small multiple of ``p``'s size, so
+    no walk over a state nests deeper than one over ``p``.
 
     ``stop_at_cut`` returns the graph, marked truncated, as soon as the
-    search reaches a state larger than ``size_cap`` or ``state_cap``
-    refuses a state; its states are those found so far.  The whole search
-    would be truncated too: such a state is either expanded later, and cut,
-    or left on the last frontier, and a refused state leaves the graph
-    incomplete.  So a caller that reads every truncated graph as unknown,
-    and looks at nothing else in it, may stop there.
+    search reaches a state past the size bound or ``state_cap`` refuses a
+    state; its states are those found so far.  The whole search would be
+    truncated too: such a state is either expanded later, and cut, or left
+    on the last frontier, and a refused state leaves the graph incomplete.
+    So a caller that reads every truncated graph as unknown, and looks at
+    nothing else in it, may stop there.
+
+    Why a cut never makes an answer wrong.  Every state and edge in the
+    graph is real, cut or not: a state is reached by a chain of real steps
+    (``parents``), and an edge is a real step between congruence classes.
+    So what a caller reads as Holds stays exact: a goal state reached with
+    its trace, or a cycle among explored edges.  A Violated needs the whole
+    reachable graph, and every caller reads a truncated graph as
+    incomplete.  A cut only turns an answer into Inconclusive.
 
     Every reached state is keyed by its ``canonical_state``, so congruent
     states fold into one.  A root that cannot step (see ``can_step``) is
     keyed by itself: it has no successor, so its key meets no other."""
     root = canonical_state(p) if can_step(p) else p
+    size_cap = growth_cap(p)
     states: dict[Process, Process] = {root: p}
     edges: dict[Process, dict[Process, RedexDescriptor]] = {}
     parents: dict[Process, tuple | None] = {root: None}
@@ -447,7 +464,7 @@ def explore(
     while frontier and depth < step_budget:
         nxt = []
         for k in frontier:
-            if size_cap is not None and term_size(states[k]) > size_cap:
+            if term_size(states[k]) > size_cap:
                 truncated = True
                 edges[k] = {}
                 continue
@@ -464,7 +481,7 @@ def explore(
                         continue
                     states[qk] = q
                     parents[qk] = (k, rd)
-                    if stop_at_cut and size_cap is not None and term_size(q) > size_cap:
+                    if stop_at_cut and term_size(q) > size_cap:
                         graph.truncated, graph.depth = True, depth + 1
                         return graph
                     if goal is not None and _accepts(graph, goal, qk):

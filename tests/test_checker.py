@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from picheck import checker, reduction, verdicts
 from picheck.congruence import UNFOLDS
-from picheck.reduction import PROBE_BUDGET, STATE_CAP, STEP_BUDGET, growth_cap
+from picheck.reduction import PROBE_BUDGET, STATE_CAP, STEP_BUDGET
+from test_reduction import deadline
 from test_syntax import TERMS
 from picheck import (
     DEFAULT_CRITERIA,
@@ -34,6 +35,7 @@ from picheck import (
     Restrict,
     SuiteBudgets,
     Trace,
+    TraceStep,
     alpha_canonical,
     alpha_eq,
     anchor_steps,
@@ -306,6 +308,72 @@ def test_op_completeness_witness_shape():
         assert struct_eq_bounded(trace.steps[-1].target, encode(s1, scheme)).is_holds
 
 
+def _reference_op_completeness(s, scheme, *, eq_budget=UNFOLDS, translate=None):
+    """Op-completeness as it was before it settled a term that cannot step
+    without encoding it."""
+    tr = checker._translator(scheme, translate)
+    k = anchor_steps(scheme)
+    enc_s = tr(s)
+    details = []
+    any_inconclusive = False
+    for s1, _ in reduct_candidates(s):
+        goal = tr(s1)
+        matched = None
+        stack = [(enc_s, 0, ())]
+        while stack and matched is None:
+            state, depth, steps = stack.pop()
+            if depth == k:
+                if struct_eq_bounded(state, goal, eq_budget).is_holds:
+                    matched = Trace(enc_s, steps)
+                continue
+            for q, rd in reduct_candidates(state):
+                if depth >= 1 and not rd.inert:
+                    continue
+                stack.append((q, depth + 1, steps + (TraceStep(state, q, rd),)))
+        if matched is not None:
+            details.append((s1, matched, True))
+            continue
+        fallback = reduction.reduces_to(
+            enc_s, goal, step_budget=k + 4, eq_budget=eq_budget, state_cap=1024
+        )
+        if fallback.is_holds:
+            details.append((s1, fallback.witness, False))
+        elif fallback.is_violated:
+            return verdicts.violated(witness=(s, s1), steps=k)
+        else:
+            any_inconclusive = True
+    if any_inconclusive:
+        return verdicts.inconclusive(witness=s, steps=k)
+    return verdicts.holds(witness=tuple(details), steps=k)
+
+
+@pytest.mark.parametrize("mutation", [None, *Mutation], ids=lambda m: getattr(m, "value", "real"))
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda sc: sc.value)
+def test_op_completeness_equals_the_reference(scheme, mutation):
+    translate = None if mutation is None else mutant_encoder(scheme, mutation)
+    for s in corpus(3):
+        got = check_op_completeness(s, scheme, translate=translate)
+        assert got == _reference_op_completeness(s, scheme, translate=translate), pprint(s)
+
+
+def test_op_completeness_does_not_encode_a_term_that_cannot_step():
+    stuck = [s for s in corpus(3) if not reduct_candidates(s)]
+    assert stuck
+    for scheme in SCHEMES:
+        encoded = []
+
+        def counting(p):
+            encoded.append(p)
+            return encode(p, scheme)
+
+        for s in stuck:
+            v = check_op_completeness(s, scheme, translate=counting)
+            assert v == verdicts.holds(witness=(), steps=anchor_steps(scheme)), pprint(s)
+        assert encoded == []
+        check_op_completeness(parse("x!y.0 | x(z).0"), scheme, translate=counting)
+        assert encoded
+
+
 def test_op_completeness_under_restricted_subject():
     s = parse("new x. (x!y.0 | x(z).0)")
     for scheme in SCHEMES:
@@ -376,7 +444,6 @@ def _soundness_graphs():
                 p,
                 step_budget=STEP_BUDGET,
                 state_cap=checker.SOUNDNESS_STATE_CAP,
-                size_cap=growth_cap(p),
                 stop_at_cut=True,
             )
 
@@ -457,6 +524,16 @@ def test_success_sensitiveness_catches_a_lying_translation():
     assert v == verdicts.violated(witness=(s, "VIOLATED", "HOLDS"), depth=16)
 
 
+def test_success_sensitiveness_gives_up_in_time_on_a_growing_image():
+    # Each step of the mutant's image leaves a larger state; without a size
+    # bound on every search the probe ran for minutes.
+    s = parse("!x!x.x(x).ok")
+    translate = mutant_encoder(B, Mutation.REUSE_BOUND_NAME)
+    with deadline(5):
+        v = check_success_sensitiveness(s, B, translate=translate)
+    assert v == verdicts.inconclusive(witness=s, depth=PROBE_BUDGET)
+
+
 # --- the search criteria against the full searches they replaced ---
 
 
@@ -466,13 +543,11 @@ def _reference_op_soundness(
     """Op-soundness as it was before it settled terms without a search:
     both graphs always explored, each to the end of its budgets."""
     tr = checker._translator(scheme, translate)
-    src = reduction.explore(s, step_budget=step_budget, state_cap=state_cap, size_cap=growth_cap(s))
+    src = reduction.explore(s, step_budget=step_budget, state_cap=state_cap)
     if src.truncated:
         return verdicts.inconclusive(witness=s, states=len(src.states))
     enc_s = tr(s)
-    tgt = reduction.explore(
-        enc_s, step_budget=step_budget, state_cap=state_cap, size_cap=growth_cap(enc_s)
-    )
+    tgt = reduction.explore(enc_s, step_budget=step_budget, state_cap=state_cap)
     if tgt.truncated:
         return verdicts.inconclusive(witness=s, states=len(tgt.states))
     images = [tr(term) for term in src.states.values()]

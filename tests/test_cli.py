@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_reduction import deadline
 
 from picheck import (
     NIL,
@@ -176,6 +177,12 @@ def test_eq_not_equivalent(capsys):
     assert (code, out) == (1, "not equivalent\n")
 
 
+def test_eq_not_equivalent_when_free_names_differ(capsys):
+    # Congruence preserves free names, replication or not.
+    code, out, _ = run(capsys, "eq", "!x!y.0", "!x!z.0")
+    assert (code, out) == (1, "not equivalent\n")
+
+
 def test_eq_unknown_when_unfolding_cannot_settle_it(capsys):
     code, out, _ = run(capsys, "eq", "!x!y.0", "!x!y.0 | !x!y.0")
     assert (code, out) == (2, "unknown\n")
@@ -208,6 +215,14 @@ def test_succeeds_negative(capsys):
 
 def test_succeeds_unknown_under_tiny_budget(capsys):
     code, out, _ = run(capsys, "succeeds", "--max", "1", "x!x.x!x.ok | x(z).x(w).0")
+    assert (code, out) == (2, "unknown\n")
+
+
+def test_succeeds_unknown_on_a_growing_replication(capsys):
+    # The replication's states grow on every step; a small input is never
+    # "nested too deeply" (exit 3), its search gives up instead.
+    with deadline(5):
+        code, out, _ = run(capsys, "succeeds", "!(x!x.0 | x(y).!(!0 | 0)) | z(w).ok")
     assert (code, out) == (2, "unknown\n")
 
 

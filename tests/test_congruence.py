@@ -36,6 +36,7 @@ from picheck.syntax import (
     alpha_canonical,
     alpha_eq,
     free_names,
+    has_replication,
     names,
     substitute,
     term_size,
@@ -496,6 +497,34 @@ def test_bounded_eq_unfolds_replication():
 def test_bounded_eq_definite_mismatch_without_replication():
     v = struct_eq_bounded(parse("x!y.0"), parse("x(z).0"))
     assert v.is_violated
+
+
+def test_bounded_eq_compares_free_names_by_value():
+    # Congruent terms may hold different empty-set objects.
+    v = struct_eq_bounded(parse("0 | new x. x!x.0"), parse("new x. x!x.0"))
+    assert v.is_holds
+
+
+def test_bounded_eq_agrees_with_the_oracle_on_replicating_pairs():
+    # The oracle decides the core, which full congruence contains: a core
+    # match must Hold, and a Violated must be no core match.  A pair whose
+    # free names differ is never congruent, so it must be Violated.
+    terms = list(generate_terms(GeneratorConfig(max_nodes=2)))
+    closures = {id(t): _closure(t) for t in terms}
+    violated = 0
+    for p, q in itertools.combinations(terms, 2):
+        if not (has_replication(p) or has_replication(q)):
+            continue
+        v = struct_eq_bounded(p, q)
+        congruent = bool(closures[id(p)] & closures[id(q)])
+        if congruent:
+            assert v.is_holds, (pprint(p), pprint(q))
+        if free_names(p) != free_names(q):
+            assert v.is_violated, (pprint(p), pprint(q))
+        if v.is_violated:
+            assert not congruent, (pprint(p), pprint(q))
+            violated += 1
+    assert violated > 1000
 
 
 def test_bounded_eq_unfold_and_match():

@@ -8,8 +8,10 @@ the same subject directly from the definition, leaving replicated
 components in place.
 """
 
+import contextlib
 import functools
 import itertools
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -401,7 +403,7 @@ def _assert_stop_at_cut_reads_as_the_whole_search(p, state_cap):
     """A search stopped at its first cut is truncated exactly when the whole
     search is, finds a subset of its states, and is the whole graph when
     it is not truncated."""
-    kw = dict(step_budget=64, state_cap=state_cap, size_cap=growth_cap(p))
+    kw = dict(step_budget=64, state_cap=state_cap)
     whole = explore(p, **kw)
     cut = explore(p, stop_at_cut=True, **kw)
     assert cut.truncated == whole.truncated, pprint(p)
@@ -423,6 +425,37 @@ def test_explore_stopped_at_its_first_cut_reads_as_the_whole_search():
         for cap in (1500, 3)
     ]
     assert sum(shorter) >= 4
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the block, instead of hanging, when it runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_searches_stop_expanding_a_growing_replication():
+    # Each step of either term leaves a larger state.  Without a size bound
+    # the first search overflows the stack and the second runs for minutes.
+    p = parse("!(x!x.0 | x(y).!(!0 | 0))")
+    q = parse("!!(y!x.0 | y(x).(y!x.0 | x(y).0))")
+    with deadline(5):
+        v = reduces_to(p, NIL)
+        g = explore(q, state_cap=300)
+    assert v.is_inconclusive, v
+    assert g.truncated
+    for k, succs in g.edges.items():
+        if succs:
+            assert term_size(g.states[k]) <= growth_cap(q), pprint(g.states[k])
 
 
 def test_explore_respects_state_cap():
@@ -731,7 +764,8 @@ def test_steps_equal_the_reference_enumerators():
 
 def ref_explore(p, *, goal=None, step_budget=64, state_cap=10000, size_cap=None):
     """``explore`` as it was when it keyed every root by its canonical
-    state, kept as the reference."""
+    state and bounded a state's size only when asked, kept as the
+    reference."""
     root = canonical_state(p)
     states = {root: p}
     edges = {}
@@ -814,17 +848,11 @@ SLOW_WHOLE_GRAPH = alpha_canonical(
 
 
 def _explore_runs(p):
-    """(step_budget, state_cap, size_cap) of the comparison: each budget with
-    the growth cap and without it.  Without the cap, a replicating term's
-    graph at 64 steps grows until the state cap, minutes on some terms, so
-    that one run keeps the cap."""
+    """(step_budget, state_cap) of the comparison."""
     for step_budget, state_cap in EXPLORE_BUDGETS:
         whole = (step_budget, state_cap) == EXPLORE_BUDGETS[0]
-        if whole and alpha_canonical(p) == SLOW_WHOLE_GRAPH:
-            continue
-        yield step_budget, state_cap, growth_cap(p)
-        if not (whole and has_replication(p)):
-            yield step_budget, state_cap, None
+        if not (whole and alpha_canonical(p) == SLOW_WHOLE_GRAPH):
+            yield step_budget, state_cap
 
 
 def _assert_explore_equals_the_reference(p):
@@ -837,10 +865,11 @@ def _assert_explore_equals_the_reference(p):
             return Outcome.HOLDS
         return Outcome.INCONCLUSIVE if has_success(t) else Outcome.VIOLATED
 
-    for step_budget, state_cap, size_cap in _explore_runs(p):
+    for step_budget, state_cap in _explore_runs(p):
         for g in (None, goal):
-            kw = dict(goal=g, step_budget=step_budget, state_cap=state_cap, size_cap=size_cap)
-            assert _read_graph(explore(p, **kw)) == _read_graph(ref_explore(p, **kw)), pprint(p)
+            kw = dict(goal=g, step_budget=step_budget, state_cap=state_cap)
+            ref = ref_explore(p, size_cap=growth_cap(p), **kw)
+            assert _read_graph(explore(p, **kw)) == _read_graph(ref), pprint(p)
 
 
 def test_explore_equals_the_reference_search():
