@@ -183,15 +183,18 @@ def generate_terms(cfg: GeneratorConfig) -> Iterator[Process]:
     first; random mode yields exactly ``random_count`` terms from the seed,
     each of at most ``max_nodes`` nodes.  A random term is drawn against a
     node budget of 1 to ``max_nodes`` and may stop short of it: a ``0`` leaf
-    ends a branch, so some draws are ``0`` itself.
+    ends a branch, so some draws are ``0`` itself.  A random corpus needs at
+    least one term, since an empty one would pass every criterion unchecked.
     """
     if not cfg.name_alphabet:
         raise ValueError("name alphabet must not be empty")
-    if cfg.random_count is not None and cfg.max_nodes < 1:
-        raise ValueError("a random corpus needs max_nodes of at least 1")
     if cfg.random_count is None:
         yield from _exhaustive(cfg)
         return
+    if cfg.max_nodes < 1:
+        raise ValueError("a random corpus needs max_nodes of at least 1")
+    if cfg.random_count < 1:
+        raise ValueError("a random corpus needs random_count of at least 1")
     yield from _random(cfg)
 
 
@@ -314,6 +317,11 @@ def check_op_completeness(
     defective encoder is reported Violated, not merely unmatched; that
     search alone decides a step no anchored path matched.
 
+    "Landing on" is up to structural congruence ≡.  Gorla states operational
+    completeness up to a success-respecting target equivalence ≍, and ≡ is
+    contained in it: a Holds proves Gorla's clause, and a Violated refutes
+    only the ≡ form.
+
     A term that cannot step has no step to simulate: Holds with no
     witnesses, without encoding the term."""
     k = anchor_steps(scheme)
@@ -390,6 +398,11 @@ def check_op_soundness(
     """Every reachable target state can keep reducing onto the encoding of
     some reachable source state.  Decided by marking matching target states
     and closing backwards; only fully explored graphs may be judged.
+
+    A target state matches an image up to structural congruence ≡.  Gorla
+    states operational soundness up to a success-respecting target
+    equivalence ≍, and ≡ is contained in it: a Holds proves Gorla's clause,
+    and a Violated refutes only the ≡ form.
 
     When neither ``s`` nor its translation can step, and the step budget
     allows one expansion, both graphs have one state, and the only target

@@ -39,10 +39,11 @@ from .reduction import (
     STATE_CAP,
     STEP_BUDGET,
     Trace,
+    growth_cap,
     may_succeed,
     reduct_candidates,
 )
-from .syntax import Process, names, rename_binders, user
+from .syntax import Process, names, rename_binders, term_size, user
 from .text import ParseError, parse, pprint
 from .verdicts import Outcome, Verdict
 
@@ -156,8 +157,11 @@ def _cmd_trace(args) -> int:
     if args.encode is not None:
         p = encode(p, _scheme(args.encode))
     print(f"start  {pprint(p)}")
-    cur = p
+    cur, cap = p, growth_cap(p)
     for i in range(1, args.max + 1):
+        if term_size(cur) > cap:
+            print(f"stop  {term_size(cur)} nodes, past the growth bound of {cap} nodes")
+            break
         cands = reduct_candidates(cur)
         if not cands:
             break

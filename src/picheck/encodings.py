@@ -7,9 +7,14 @@ protocol, two for the direct one).  Everything except the two prefix forms
 is translated homomorphically.  ``asyncify``, the nearest asynchronous
 term, is a third walk by the same per-node clause dispatch.
 
+Each prefix clause is written once, as a term with placeholder names and a
+hole, the way the paper writes it; ``_clause`` compiles each template into
+the function that instantiates it.  The deliberately broken encoder
+variants, used to confirm the checks can fail, are templates too: each
+replaces one output clause.
+
 The module also provides the apparatus the validity checker needs:
-operator decomposition and per-operator target contexts, and deliberately
-broken encoder variants used to confirm the checks can fail.  Each source
+operator decomposition and per-operator target contexts.  Each source
 name is handled by itself in the target, so a source renaming acts on the
 target unchanged.
 """
@@ -36,6 +41,8 @@ from .syntax import (
     free_names,
     fresh_name,
     memo,
+    names,
+    user,
 )
 
 Clause = Callable[[Name, Name, Process, frozenset], Process]
@@ -51,46 +58,112 @@ def anchor_steps(scheme: EncodingScheme) -> int:
     return 3 if scheme is EncodingScheme.BOUDOL else 2
 
 
-def _fresh_pair(avoid: frozenset) -> tuple[Name, Name]:
-    u = fresh_name(avoid)
-    v = fresh_name(avoid | {u})
-    return u, v
+class Mutation(Enum):
+    """Deliberate encoder defects; each must be caught by some validity check."""
+
+    DROP_FORWARDER = "drop-forwarder"
+    SWAP_FRESH_ROLES = "swap-fresh-roles"
+    REUSE_BOUND_NAME = "reuse-bound-name"
+    SWAP_SCHEME_OUTPUT = "swap-scheme-output"
 
 
-def _boudol_out(x: Name, y: Name, body: Process, extra: frozenset = frozenset()) -> Process:
-    avoid = free_names(body) | {x, y} | extra
-    u, v = _fresh_pair(avoid)
-    return Restrict(
-        u, Par(Output(x, u, NIL), Input(u, v, Par(Output(v, y, NIL), body)))
-    )
+# The placeholders of a clause template: the prefix's subject ``x`` and its
+# object ``y`` (an input clause calls its binder ``z``), the bookkeeping
+# names ``u`` and ``v``, and the hole for the encoded continuation.
+_X, _Y, _Z, _U, _V = (user(n) for n in "xyzuv")
+_P = Hole(0)
 
 
-def _boudol_in(x: Name, z: Name, body: Process, extra: frozenset = frozenset()) -> Process:
-    avoid = free_names(body) | {x, z} | extra
-    u, v = _fresh_pair(avoid)
-    return Input(x, u, Restrict(v, Par(Output(u, v, NIL), Input(v, z, body))))
+def _send(subject: Name, obj: Name) -> Process:
+    return Output(subject, obj, NIL)
 
 
-def _ht_out(x: Name, y: Name, body: Process, extra: frozenset = frozenset()) -> Process:
-    avoid = free_names(body) | {x, y} | extra
-    u = fresh_name(avoid)
-    return Input(x, u, Par(Output(u, y, NIL), body))
-
-
-def _ht_in(x: Name, z: Name, body: Process, extra: frozenset = frozenset()) -> Process:
-    avoid = free_names(body) | {x, z} | extra
-    u = fresh_name(avoid)
-    return Restrict(u, Par(Output(x, u, NIL), Input(u, z, body)))
-
-
-_OUT: dict[EncodingScheme, Clause] = {
-    EncodingScheme.BOUDOL: _boudol_out,
-    EncodingScheme.HONDA_TOKORO: _ht_out,
+# [[x!y.P]] = new u. (x!u.0 | u(v).(v!y.0 | [[P]]))  (Boudol)
+# [[x!y.P]] = x(u).(u!y.0 | [[P]])                     (Honda-Tokoro)
+_OUT_TEMPLATES = {
+    EncodingScheme.BOUDOL: Restrict(
+        _U, Par(_send(_X, _U), Input(_U, _V, Par(_send(_V, _Y), _P)))
+    ),
+    EncodingScheme.HONDA_TOKORO: Input(_X, _U, Par(_send(_U, _Y), _P)),
 }
-_IN: dict[EncodingScheme, Clause] = {
-    EncodingScheme.BOUDOL: _boudol_in,
-    EncodingScheme.HONDA_TOKORO: _ht_in,
+# [[x(z).P]] = x(u). new v. (u!v.0 | v(z).[[P]])  (Boudol)
+# [[x(z).P]] = new u. (x!u.0 | u(z).[[P]])         (Honda-Tokoro)
+_IN_TEMPLATES = {
+    EncodingScheme.BOUDOL: Input(_X, _U, Restrict(_V, Par(_send(_U, _V), Input(_V, _Z, _P)))),
+    EncodingScheme.HONDA_TOKORO: Restrict(_U, Par(_send(_X, _U), Input(_U, _Z, _P))),
 }
+# Each mutant's output clause, Boudol's and then Honda-Tokoro's.
+_MUTANT_OUT_TEMPLATES = {
+    # The reply is never forwarded, so the payload is lost.
+    Mutation.DROP_FORWARDER: (
+        Restrict(_U, Par(_send(_X, _U), Input(_U, _V, _P))),
+        Input(_X, _U, _P),
+    ),
+    # Boudol's forwarder answers on the handshake channel, not the fresh
+    # reply; Honda-Tokoro's payload is replaced by the bookkeeping name.
+    Mutation.SWAP_FRESH_ROLES: (
+        Restrict(_U, Par(_send(_X, _U), Input(_U, _V, Par(_send(_U, _Y), _P)))),
+        Input(_X, _U, Par(_send(_U, _U), _P)),
+    ),
+    # Boudol's handshake channel shadows the subject itself; Honda-Tokoro's
+    # handshake binder shadows the payload, capturing it.
+    Mutation.REUSE_BOUND_NAME: (
+        Restrict(_X, Par(_send(_X, _X), Input(_X, _U, Par(_send(_U, _Y), _P)))),
+        Input(_X, _Y, Par(_send(_Y, _Y), _P)),
+    ),
+    Mutation.SWAP_SCHEME_OUTPUT: (
+        _OUT_TEMPLATES[EncodingScheme.HONDA_TOKORO],
+        _OUT_TEMPLATES[EncodingScheme.BOUDOL],
+    ),
+}
+
+
+def _clause(template: Process) -> Clause:
+    """Compile a clause template into the clause it denotes.
+
+    The clause takes the prefix's two names, the encoded continuation and a
+    set of ``extra`` names to avoid.  This is the one home of the fresh-name
+    rule: ``u`` and then ``v``, those of them the template uses, are each
+    the least fresh name outside fn(body) ∪ {x, y} ∪ extra and the names
+    taken before.  The template is read once, here, into one closure per
+    node (``_compile``); a call reads it no more.
+    """
+    fresh = [n for n in (_U, _V) if n in names(template)]
+    slots = {_X: 0, _Y: 1, _Z: 1} | {n: 2 + i for i, n in enumerate(fresh)}
+    build = _compile(template, slots)
+
+    def clause(x: Name, y: Name, body: Process, extra: frozenset) -> Process:
+        env, taken = [x, y], {x, y, *free_names(body), *extra}
+        for _ in fresh:
+            env.append(fresh_name(taken))
+            taken.add(env[-1])
+        return build(env, body)
+
+    return clause
+
+
+def _compile(t: Process, slots: dict) -> Callable[[list, Process], Process]:
+    """The closure that builds ``t``'s instance from the placeholders' names,
+    found in its first argument at their ``slots``, and the continuation."""
+    match t:
+        case Hole(index=0):
+            return lambda env, body: body
+        case Nil():
+            return lambda env, body: NIL
+        case Output(subject=a, obj=b, cont=c) | Input(subject=a, binder=b, cont=c):
+            prefix, i, j, cont = type(t), slots[a], slots[b], _compile(c, slots)
+            return lambda env, body: prefix(env[i], env[j], cont(env, body))
+        case Par(left=l, right=r):
+            left, right = _compile(l, slots), _compile(r, slots)
+            return lambda env, body: Par(left(env, body), right(env, body))
+        case Restrict(binder=b, body=c):
+            i, inner = slots[b], _compile(c, slots)
+            return lambda env, body: Restrict(env[i], inner(env, body))
+    raise ValueError(f"not a clause template: {t!r}")
+
+
+_OUT = {scheme: _clause(t) for scheme, t in _OUT_TEMPLATES.items()}
+_IN = {scheme: _clause(t) for scheme, t in _IN_TEMPLATES.items()}
 
 
 def _encode_node(
@@ -115,26 +188,26 @@ def _encode_node(
     raise TypeError(f"cannot encode {t!r}")
 
 
-def _encode_with(p: Process, out_clause: Clause, in_clause: Clause) -> Process:
-    """The translation by the given clauses, memoised nowhere."""
+def _encoder(out_clause: Clause, in_clause: Clause) -> Callable[[Process], Process]:
+    """The translation by the given clauses.  It recurses through itself,
+    so every subterm's encoding is kept on its node: a renamed or
+    substituted term shares most subterms with the original, and their
+    encodings are not redone.  Every encoder is built once, at import."""
 
-    def go(t: Process) -> Process:
-        return _encode_node(t, go, out_clause, in_clause)
+    @memo
+    def translate(p: Process) -> Process:
+        return _encode_node(p, translate, out_clause, in_clause)
 
-    return go(p)
-
-
-# The real schemes recurse through themselves, so every subterm's encoding
-# is kept on its node: a renamed or substituted term shares most subterms
-# with the original, and their encodings are not redone.
-@memo
-def _boudol(p: Process) -> Process:
-    return _encode_node(p, _boudol, _boudol_out, _boudol_in)
+    return translate
 
 
-@memo
-def _honda_tokoro(p: Process) -> Process:
-    return _encode_node(p, _honda_tokoro, _ht_out, _ht_in)
+_boudol = _encoder(_OUT[EncodingScheme.BOUDOL], _IN[EncodingScheme.BOUDOL])
+_honda_tokoro = _encoder(_OUT[EncodingScheme.HONDA_TOKORO], _IN[EncodingScheme.HONDA_TOKORO])
+_MUTANTS = {
+    (scheme, mutation): _encoder(_clause(t), _IN[scheme])
+    for mutation, row in _MUTANT_OUT_TEMPLATES.items()
+    for scheme, t in zip(EncodingScheme, row)
+}
 
 
 def _async_out(x: Name, y: Name, body: Process, extra: frozenset) -> Process:
@@ -257,70 +330,9 @@ def fill(ctx: Context, args: tuple[Process, ...]) -> Process:
     return go(ctx.term, frozenset())
 
 
-class Mutation(Enum):
-    """Deliberate encoder defects; each must be caught by some validity check."""
-
-    DROP_FORWARDER = "drop-forwarder"
-    SWAP_FRESH_ROLES = "swap-fresh-roles"
-    REUSE_BOUND_NAME = "reuse-bound-name"
-    SWAP_SCHEME_OUTPUT = "swap-scheme-output"
-
-
-def _mutated_out(scheme: EncodingScheme, mutation: Mutation) -> Clause:
-    def drop_forwarder(x, y, body, extra=frozenset()):
-        avoid = free_names(body) | {x, y} | extra
-        if scheme is EncodingScheme.BOUDOL:
-            u, v = _fresh_pair(avoid)
-            return Restrict(u, Par(Output(x, u, NIL), Input(u, v, body)))
-        u = fresh_name(avoid)
-        return Input(x, u, body)
-
-    def swap_fresh_roles(x, y, body, extra=frozenset()):
-        avoid = free_names(body) | {x, y} | extra
-        if scheme is EncodingScheme.BOUDOL:
-            # Forwarder answers on the handshake channel, not the fresh reply.
-            u, v = _fresh_pair(avoid)
-            return Restrict(
-                u, Par(Output(x, u, NIL), Input(u, v, Par(Output(u, y, NIL), body)))
-            )
-        # Payload replaced by the bookkeeping name.
-        u = fresh_name(avoid)
-        return Input(x, u, Par(Output(u, u, NIL), body))
-
-    def reuse_bound_name(x, y, body, extra=frozenset()):
-        if scheme is EncodingScheme.BOUDOL:
-            avoid = free_names(body) | {x, y} | extra
-            v = fresh_name(avoid)
-            # Handshake channel shadows the subject itself.
-            return Restrict(
-                x, Par(Output(x, x, NIL), Input(x, v, Par(Output(v, y, NIL), body)))
-            )
-        # Handshake binder shadows the payload, capturing it.
-        return Input(x, y, Par(Output(y, y, NIL), body))
-
-    match mutation:
-        case Mutation.DROP_FORWARDER:
-            return drop_forwarder
-        case Mutation.SWAP_FRESH_ROLES:
-            return swap_fresh_roles
-        case Mutation.REUSE_BOUND_NAME:
-            return reuse_bound_name
-        case Mutation.SWAP_SCHEME_OUTPUT:
-            other = (
-                EncodingScheme.HONDA_TOKORO
-                if scheme is EncodingScheme.BOUDOL
-                else EncodingScheme.BOUDOL
-            )
-            return _OUT[other]
-    raise ValueError(f"not a Mutation: {mutation!r}")
-
-
 def mutant_encoder(scheme: EncodingScheme, mutation: Mutation) -> Callable[[Process], Process]:
-    """An encoder with one defect injected into its output clause."""
-    out_clause = _mutated_out(scheme, mutation)
-    in_clause = _IN[scheme]
-
-    def translate(p: Process) -> Process:
-        return _encode_with(p, out_clause, in_clause)
-
-    return translate
+    """An encoder with one defect injected into its output clause; the same
+    memoised function on every call."""
+    if not isinstance(mutation, Mutation):
+        raise ValueError(f"not a Mutation: {mutation!r}")
+    return _MUTANTS[scheme, mutation]

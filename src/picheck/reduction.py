@@ -381,10 +381,8 @@ def _cycle(edges: dict, root: Process) -> list[Process] | None:
 class ReductionGraph:
     """Bounded forward exploration: canonical states, edges, truncation flag.
 
-    ``states`` maps each state's key to the term first reached there.  The
-    key is the term's ``canonical_state``, except at the root of a term
-    that cannot step: such a graph has no other state, so nothing is ever
-    compared with its key, and the root is its own key.
+    ``states`` maps each state's key, its ``canonical_state``, to the term
+    first reached there.
     ``edges`` maps each expanded state to a dict from its successors' keys
     to the redex of the step.  ``parents`` maps each state to the (parent
     state, redex) that first reached it, None for the root.  ``found`` is
@@ -448,9 +446,8 @@ def explore(
     incomplete.  A cut only turns an answer into Inconclusive.
 
     Every reached state is keyed by its ``canonical_state``, so congruent
-    states fold into one.  A root that cannot step (see ``can_step``) is
-    keyed by itself: it has no successor, so its key meets no other."""
-    root = canonical_state(p) if can_step(p) else p
+    states fold into one."""
+    root = canonical_state(p)
     size_cap = growth_cap(p)
     states: dict[Process, Process] = {root: p}
     edges: dict[Process, dict[Process, RedexDescriptor]] = {}

@@ -263,6 +263,15 @@ def test_random_corpus_without_a_node_is_rejected():
         list(generate_terms(GeneratorConfig(max_nodes=0, random_count=3)))
 
 
+def test_random_corpus_without_a_term_is_rejected():
+    # An empty corpus would pass every criterion having checked nothing.
+    for count in (0, -5):
+        with pytest.raises(ValueError, match="random_count"):
+            list(generate_terms(GeneratorConfig(random_count=count)))
+        with pytest.raises(ValueError, match="random_count"):
+            run_suite(GeneratorConfig(random_count=count))
+
+
 # --- compositionality ---
 
 

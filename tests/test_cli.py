@@ -9,6 +9,7 @@ flags and seed, and across hash seeds.
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -28,9 +29,11 @@ from picheck import (
     reduct_candidates,
     struct_eq_bounded,
     struct_eq_s,
+    term_size,
 )
 from picheck import cli
 from picheck.cli import main
+from picheck.reduction import growth_cap
 
 B = EncodingScheme.BOUDOL
 HT = EncodingScheme.HONDA_TOKORO
@@ -125,6 +128,30 @@ def test_trace_respects_the_step_limit(capsys):
     code, out, _ = run(capsys, "trace", "--max", "3", "!x!y.0 | !x(z).0")
     assert code == 0
     assert len(out.splitlines()) == 1 + 3
+
+
+def test_trace_stops_at_the_growth_bound(capsys):
+    # The states grow on every step; the bound of a 7-node start term is 30
+    # nodes.  The state past it is printed but not stepped from, as in a
+    # search, and the trace ends normally instead of nesting ever deeper.
+    term = "!(x!x.0 | x(y).!(!0 | 0))"
+    with deadline(5):
+        code, out, _ = run(capsys, "trace", "--max", "40", term)
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[-1] == "stop  35 nodes, past the growth bound of 30 nodes"
+    _, terms = trace_terms("\n".join(lines[:-1]))
+    states = chain(parse(term), limit=4)
+    assert terms == [pprint(s) for s in states]
+    assert [term_size(s) for s in states] == [7, 11, 17, 25, 35]
+
+
+def test_trace_stops_at_the_growth_bound_of_the_encoded_term(capsys):
+    term = "!(x!x.0 | x(y).!(!0 | 0))"
+    code, out, _ = run(capsys, "trace", "--encode", "ht", "--max", "40", term)
+    bound = growth_cap(encode(parse(term), HT))
+    assert code == 0
+    assert out.splitlines()[-1].endswith(f"past the growth bound of {bound} nodes")
 
 
 # --- normalize ---
@@ -457,3 +484,51 @@ def test_internal_error_exits_4_with_a_traceback(capsys, monkeypatch, command, t
     assert out == ""
     assert err.startswith("Traceback")
     assert "KeyError: 'boom'" in err
+
+
+# --- README's console examples ---
+
+
+def readme_examples():
+    """(command, expected lines) for every ``$ picheck`` line of README's
+    console blocks: the lines up to the next ``$`` line or the end of the
+    block, trailing blank lines dropped."""
+    examples, block = [], None
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line == "```console":
+            block = []
+        elif block is not None and line == "```":
+            examples += block
+            block = None
+        elif block is not None and line.startswith("$ "):
+            block.append((line[2:], []))
+        elif block:
+            block[-1][1].append(line)
+    return [
+        (command, "\n".join(lines).rstrip("\n").split("\n"))
+        for command, lines in examples
+        if command.startswith("picheck ")
+    ]
+
+
+def matches(expected, got):
+    """Line-by-line equality, where a ``...`` line stands for any run of lines."""
+    if not expected:
+        return not got
+    if expected[0] == "...":
+        return any(matches(expected[1:], got[i:]) for i in range(len(got) + 1))
+    return bool(got) and got[0] == expected[0] and matches(expected[1:], got[1:])
+
+
+EXAMPLES = readme_examples()
+
+
+def test_readme_has_console_examples():
+    assert len(EXAMPLES) >= 5
+
+
+@pytest.mark.parametrize(("command", "expected"), EXAMPLES, ids=[c for c, _ in EXAMPLES])
+def test_readme_console_example(capsys, command, expected):
+    code, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    assert matches(expected, out.splitlines()), out

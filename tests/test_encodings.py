@@ -3,13 +3,16 @@
 The prefix clauses are pinned as exact ASTs (fresh names are deterministic,
 least-index-first), the remaining operators as homomorphisms.  Context
 building and filling are cross-checked against the recursive encoder, which
-gives two independent code paths to the same term.
+gives two independent code paths to the same term.  The clause templates
+are pinned as printed terms, and every encoder, mutant and context built
+from them is compared node for node with the hand-written clauses below.
 """
 
 import pytest
 from hypothesis import given, settings
 from test_syntax import TERMS
 
+from picheck import encodings
 from picheck import (
     NIL,
     SUCCESS,
@@ -26,6 +29,7 @@ from picheck import (
     alpha_canonical,
     alpha_eq,
     anchor_steps,
+    fresh_name,
     asyncify,
     bound_names,
     context_for,
@@ -264,6 +268,167 @@ def test_mutant_encoder_rejects_a_label_that_is_not_a_mutation():
     # through to the real encoder's output clause.
     with pytest.raises(ValueError, match="not a Mutation"):
         mutant_encoder(BOUDOL, Mutation.DROP_FORWARDER.value)
+
+
+# --- clause templates against the hand-written clauses ---
+#
+# The clauses as first written, one Python function each, and the mutants
+# and the unmemoised translation walk built on them: the reference for the
+# compiled templates.
+
+
+def fresh_pair(avoid):
+    u = fresh_name(avoid)
+    v = fresh_name(avoid | {u})
+    return u, v
+
+
+def boudol_out(x, y, body, extra=frozenset()):
+    avoid = free_names(body) | {x, y} | extra
+    u, v = fresh_pair(avoid)
+    return Restrict(u, Par(Output(x, u, NIL), Input(u, v, Par(Output(v, y, NIL), body))))
+
+
+def boudol_in(x, z, body, extra=frozenset()):
+    avoid = free_names(body) | {x, z} | extra
+    u, v = fresh_pair(avoid)
+    return Input(x, u, Restrict(v, Par(Output(u, v, NIL), Input(v, z, body))))
+
+
+def ht_out(x, y, body, extra=frozenset()):
+    avoid = free_names(body) | {x, y} | extra
+    u = fresh_name(avoid)
+    return Input(x, u, Par(Output(u, y, NIL), body))
+
+
+def ht_in(x, z, body, extra=frozenset()):
+    avoid = free_names(body) | {x, z} | extra
+    u = fresh_name(avoid)
+    return Restrict(u, Par(Output(x, u, NIL), Input(u, z, body)))
+
+
+REF_OUT = {BOUDOL: boudol_out, HONDA_TOKORO: ht_out}
+REF_IN = {BOUDOL: boudol_in, HONDA_TOKORO: ht_in}
+
+
+def mutated_out(scheme, mutation):
+    def drop_forwarder(x, y, body, extra=frozenset()):
+        avoid = free_names(body) | {x, y} | extra
+        if scheme is BOUDOL:
+            u, v = fresh_pair(avoid)
+            return Restrict(u, Par(Output(x, u, NIL), Input(u, v, body)))
+        u = fresh_name(avoid)
+        return Input(x, u, body)
+
+    def swap_fresh_roles(x, y, body, extra=frozenset()):
+        avoid = free_names(body) | {x, y} | extra
+        if scheme is BOUDOL:
+            u, v = fresh_pair(avoid)
+            return Restrict(
+                u, Par(Output(x, u, NIL), Input(u, v, Par(Output(u, y, NIL), body)))
+            )
+        u = fresh_name(avoid)
+        return Input(x, u, Par(Output(u, u, NIL), body))
+
+    def reuse_bound_name(x, y, body, extra=frozenset()):
+        if scheme is BOUDOL:
+            avoid = free_names(body) | {x, y} | extra
+            v = fresh_name(avoid)
+            return Restrict(
+                x, Par(Output(x, x, NIL), Input(x, v, Par(Output(v, y, NIL), body)))
+            )
+        return Input(x, y, Par(Output(y, y, NIL), body))
+
+    return {
+        Mutation.DROP_FORWARDER: drop_forwarder,
+        Mutation.SWAP_FRESH_ROLES: swap_fresh_roles,
+        Mutation.REUSE_BOUND_NAME: reuse_bound_name,
+        Mutation.SWAP_SCHEME_OUTPUT: REF_OUT[HONDA_TOKORO if scheme is BOUDOL else BOUDOL],
+    }[mutation]
+
+
+def encode_with(p, out_clause, in_clause):
+    """The translation by the given clauses, memoised nowhere."""
+    match p:
+        case Output(subject=x, obj=y, cont=c):
+            return out_clause(x, y, encode_with(c, out_clause, in_clause))
+        case Input(subject=x, binder=z, cont=c):
+            return in_clause(x, z, encode_with(c, out_clause, in_clause))
+        case Par(left=l, right=r):
+            return Par(encode_with(l, out_clause, in_clause), encode_with(r, out_clause, in_clause))
+        case Restrict(binder=b, body=body):
+            return Restrict(b, encode_with(body, out_clause, in_clause))
+        case Repl(body=body):
+            return Repl(encode_with(body, out_clause, in_clause))
+    return p
+
+
+def reference_encoders():
+    """(encoder, its hand-written clauses) for both schemes, real and mutated."""
+    pairs = []
+    for scheme in SCHEMES:
+        pairs.append((encodings.translator(scheme), (REF_OUT[scheme], REF_IN[scheme])))
+        for mutation in Mutation:
+            pairs.append(
+                (mutant_encoder(scheme, mutation), (mutated_out(scheme, mutation), REF_IN[scheme]))
+            )
+    return pairs
+
+
+def ref_context_term(op, free_set, scheme):
+    match op:
+        case Output(subject=x, obj=y, cont=Hole() as h):
+            return REF_OUT[scheme](x, y, h, free_set)
+        case Input(subject=x, binder=z, cont=Hole() as h):
+            return REF_IN[scheme](x, z, h, free_set)
+    return op
+
+
+def assert_same_as_hand_written(terms):
+    for translate, (out_clause, in_clause) in reference_encoders():
+        for t in terms:
+            assert translate(t) is encode_with(t, out_clause, in_clause), pprint(t)
+    for t in terms:
+        op, _ = decompose(t)
+        for free_set in (frozenset(), free_names(t) | {a, fresh(0), fresh(2)}):
+            for scheme in SCHEMES:
+                want = ref_context_term(op, free_set, scheme)
+                assert context_for(op, free_set, scheme).term is want, (pprint(t), scheme)
+
+
+def test_templates_give_the_hand_written_images_and_contexts():
+    random_terms = generate_terms(GeneratorConfig(max_nodes=8, random_count=20000, seed=3))
+    assert_same_as_hand_written([*corpus(4), *random_terms])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(TERMS)
+def test_templates_give_the_hand_written_images_on_generated_terms(p):
+    assert_same_as_hand_written([p])
+
+
+def test_every_template_prints_as_the_paper_writes_it():
+    printed = {
+        scheme: (pprint(encodings._OUT_TEMPLATES[scheme]), pprint(encodings._IN_TEMPLATES[scheme]))
+        for scheme in SCHEMES
+    }
+    assert printed == {
+        BOUDOL: ("new u. (x!u.0 | u(v).(v!y.0 | _0))", "x(u).new v. (u!v.0 | v(z)._0)"),
+        HONDA_TOKORO: ("x(u).(u!y.0 | _0)", "new u. (x!u.0 | u(z)._0)"),
+    }
+    mutants = {m: tuple(map(pprint, row)) for m, row in encodings._MUTANT_OUT_TEMPLATES.items()}
+    assert mutants == {
+        Mutation.DROP_FORWARDER: ("new u. (x!u.0 | u(v)._0)", "x(u)._0"),
+        Mutation.SWAP_FRESH_ROLES: ("new u. (x!u.0 | u(v).(u!y.0 | _0))", "x(u).(u!u.0 | _0)"),
+        Mutation.REUSE_BOUND_NAME: ("new x. (x!x.0 | x(u).(u!y.0 | _0))", "x(y).(y!y.0 | _0)"),
+        Mutation.SWAP_SCHEME_OUTPUT: (printed[HONDA_TOKORO][0], printed[BOUDOL][0]),
+    }
+
+
+def test_mutant_encoder_is_one_memoised_function():
+    for scheme in SCHEMES:
+        for mutation in Mutation:
+            assert mutant_encoder(scheme, mutation) is mutant_encoder(scheme, mutation)
 
 
 # --- asyncify, the third clause walk ---

@@ -581,12 +581,19 @@ def test_memoised_encoders_equal_the_unmemoised_walk_on_generated_terms(p):
 
 
 def assert_encodings(t):
+    # The hand-written clauses and the unmemoised walk live with the
+    # encoding tests, which import this module's strategies.
+    from test_encodings import REF_IN, REF_OUT, encode_with
+
     clauses = {
-        encodings._boudol: (encodings._boudol_out, encodings._boudol_in),
-        encodings._honda_tokoro: (encodings._ht_out, encodings._ht_in),
+        encodings._boudol: (REF_OUT[EncodingScheme.BOUDOL], REF_IN[EncodingScheme.BOUDOL]),
+        encodings._honda_tokoro: (
+            REF_OUT[EncodingScheme.HONDA_TOKORO],
+            REF_IN[EncodingScheme.HONDA_TOKORO],
+        ),
     }
     for memoised, (out_clause, in_clause) in clauses.items():
-        want = encodings._encode_with(t, out_clause, in_clause)
+        want = encode_with(t, out_clause, in_clause)
         assert memoised(t) is want, (memoised.__name__, pprint(t))
 
 
