@@ -427,12 +427,7 @@ def check_op_soundness(
     marked = set()
     maybe = set()
     for key, term in tgt.states.items():
-        fn_t = free_names(term)
         for image in images:
-            # ``struct_eq_bounded`` makes the same test first; reading it
-            # here saves a call and a Verdict per pair on this hot loop.
-            if free_names(image) != fn_t:
-                continue
             v = struct_eq_bounded(term, image, eq_budget)
             if v.is_holds:
                 marked.add(key)

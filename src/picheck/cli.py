@@ -244,7 +244,8 @@ def _criteria(selector: str) -> tuple[Criterion, ...]:
                 f"{', '.join(by_value)} or 'all')"
             )
         chosen.append(by_value[label])
-    return tuple(chosen)
+    # A name given twice is read once, as ``--names`` reads a letter once.
+    return tuple(dict.fromkeys(chosen))
 
 
 def _generator_config(args) -> GeneratorConfig:

@@ -11,7 +11,10 @@ canonical forms.
 ``flatten`` splits one level of a term into Milner's standard form
 ``new x~.(M1 | ... | Mn)`` ("The polyadic pi-calculus: a tutorial", 1993),
 and ``rebuild`` puts such a level back together.  The canonical forms, the
-redex loop and the lemma suite all read a level through them.
+redex loop and the lemma suite all read a level through them: ``deep_canon``
+decodes every level through ``rebuild``, and ``canonical_state`` drops, in
+one pass over the flattened top level, every copy standing beside its own
+replication (``P | !P == !P``) and rebuilds what is left.
 """
 
 from __future__ import annotations
@@ -78,11 +81,11 @@ def flatten(q: Process) -> tuple[list[Name], list[Process]]:
 def rebuild(restricted: Iterable[Name], comps: Iterable[Process]) -> Process:
     """``new restricted. (comps)``, congruent to it: 0 components dropped,
     only the restrictions some component uses kept, least name outermost."""
-    comps = [c for c in comps if c is not NIL]
-    used = frozenset().union(*(free_names(c) for c in comps))
-    term = par_all(comps)
-    for w in sorted(used.intersection(restricted), key=Name.sort_key, reverse=True):
-        term = Restrict(w, term)
+    term = par_all([c for c in comps if c is not NIL])
+    # Most decoded levels bind nothing; they skip the sort.
+    if restricted:
+        for w in sorted(free_names(term).intersection(restricted), key=Name.sort_key, reverse=True):
+            term = Restrict(w, term)
     return term
 
 
@@ -198,10 +201,10 @@ def _decode_level(key: tuple, env: dict, depth: int, fresh_ids: Iterator[int]) -
         labels = {(1, depth + i): w for i, w in enumerate(names)}
         scoped.append(({**env, **labels}, depth + k, comp_keys))
     comps = [_decode_comp(ck, e, d, fresh_ids) for e, d, comp_keys in scoped for ck in comp_keys]
-    term = par_all(comps)
-    for b in reversed(binders):
-        term = Restrict(b, term)
-    return term
+    # No decoded component is 0, every group name is used, and fresh names
+    # numbered in order sort least first, so ``rebuild`` keeps every binder
+    # in this order.
+    return rebuild(binders, comps)
 
 
 def _decode_comp(key: tuple, env: dict, depth: int, fresh_ids: Iterator[int]) -> Process:
@@ -234,36 +237,31 @@ def deep_canon(p: Process) -> Process:
     return _decode_level(_level_key(q, {}, 0), env, 0, count(base))
 
 
-def _refold(comps: list[Process]) -> list[Process]:
-    """Fold back copies standing next to their own replication (P | !P -> !P)."""
-    comps = list(comps)
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(comps):
-            for j, d in enumerate(comps):
-                if i != j and isinstance(d, Repl) and alpha_eq(c, d.body):
-                    comps.pop(i)
-                    changed = True
-                    break
-            if changed:
-                break
-    return comps
-
-
 @memo
 def canonical_state(p: Process) -> Process:
     """Dedup key for reachability searches: the deep canonical form, with
-    copies standing next to their own replication folded back at the top
-    level only.  Exact on the core; key equality implies full structural
-    congruence, while replication-congruent states deeper down or folded
-    otherwise may stay apart (missed merges cost time, never correctness)."""
+    every top-level copy standing next to its own replication folded back
+    (P | !P -> !P).  Exact on the core; key equality implies full
+    structural congruence, while replication-congruent states deeper down
+    or folded otherwise may stay apart (missed merges cost time, never
+    correctness).
+
+    One pass over the components of the deep canonical form drops each one
+    that is alpha-equal to the body of some replication component.  Sound:
+    each dropped copy points to a replication of it, and following those
+    links ends at a kept replication, because each link strictly grows the
+    term.  Applying P | !P == !P from that root down gives back the
+    original term.  The kept components depend only on the components as
+    a multiset, not on their order."""
     q = deep_canon(p)
     restricted, comps = flatten(q)
-    folded = _refold(comps)
-    if len(folded) == len(comps):
+    bodies = [c.body for c in comps if isinstance(c, Repl)]
+    if not bodies:
         return q
-    return deep_canon(rebuild(restricted, folded))
+    kept = [c for c in comps if not any(alpha_eq(c, b) for b in bodies)]
+    if len(kept) == len(comps):
+        return q
+    return deep_canon(rebuild(restricted, kept))
 
 
 def struct_eq_s(p: Process, q: Process) -> bool:

@@ -351,11 +351,6 @@ def fresh_name(avoid: Iterable[Name]) -> Name:
     return fresh(i)
 
 
-def _rename_binder(binder: Name, body: Process, avoid: NameSet):
-    nb = fresh_name(avoid | {binder})
-    return nb, substitute(body, binder, nb)
-
-
 def substitute(p: Process, old: Name, new: Name) -> Process:
     """Capture-avoiding replacement of free occurrences of ``old`` by ``new``.
 
@@ -440,10 +435,10 @@ def _rename_under_binder(b: Name, body: Process, sigma: dict[Name, Name]):
         if not sigma:
             return b, body
     if b in sigma.values():
-        # Some renamed free name would be captured by this binder.
-        avoid = free | set(sigma.values())
-        b2, body2 = _rename_binder(b, body, avoid)
-        return b2, _rename(body2, sigma)
+        # Some renamed free name would be captured by this binder: rename
+        # the binder too, in the same walk.
+        nb = fresh_name(free | set(sigma.values()) | {b})
+        return nb, _rename(body, {**sigma, b: nb})
     return b, _rename(body, sigma)
 
 

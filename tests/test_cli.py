@@ -320,6 +320,15 @@ def test_check_json_reads_a_repeated_letter_once(capsys):
     assert once[1] == twice[1]
 
 
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_check_reads_a_repeated_criterion_once(capsys, mode):
+    argv = ("check", "--max-nodes", "1", *mode, "--criteria")
+    once = run(capsys, *argv, "lemma-suite")
+    twice = run(capsys, *argv, "lemma-suite,lemma-suite")
+    assert once[0] == twice[0] == 0
+    assert once[1] == twice[1]
+
+
 def test_check_json_does_not_depend_on_the_hash_seed():
     # Nodes and names hash by identity, that is by address: the run under
     # the system allocator puts them at other addresses, so any output that
@@ -532,3 +541,24 @@ def test_readme_console_example(capsys, command, expected):
     code, out, _ = run(capsys, *shlex.split(command)[1:])
     assert code == 0
     assert matches(expected, out.splitlines()), out
+
+
+def readme_python_blocks():
+    """The source of every ``python`` block of README."""
+    blocks, block = [], None
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        if line == "```python":
+            block = []
+        elif block is not None and line == "```":
+            blocks.append("\n".join(block))
+            block = None
+        elif block is not None:
+            block.append(line)
+    return blocks
+
+
+def test_readme_python_example():
+    blocks = readme_python_blocks()
+    assert blocks
+    for source in blocks:
+        exec(compile(source, "README.md", "exec"), {})

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_syntax import TERMS as SYNTAX_TERMS
 
-from picheck.checker import GeneratorConfig, generate_terms
+from picheck import congruence
+from picheck.checker import GeneratorConfig, asyncify, generate_terms
 from picheck.congruence import (
     canonical_state,
     deep_canon,
@@ -24,6 +25,8 @@ from picheck.congruence import (
     struct_eq_s,
     unfold_replications,
 )
+from picheck.encodings import EncodingScheme, encode
+from picheck.reduction import reduct_candidates
 from picheck.syntax import (
     NIL,
     SUCCESS,
@@ -36,8 +39,10 @@ from picheck.syntax import (
     alpha_canonical,
     alpha_eq,
     free_names,
+    fresh,
     has_replication,
     names,
+    par_all,
     substitute,
     term_size,
     user,
@@ -418,6 +423,123 @@ def test_canonical_state_folds_one_unfolded_copy():
 
 def test_canonical_state_keeps_parallel_replications_apart():
     assert canonical_state(parse("!x!y.0 | !x!y.0")) != canonical_state(parse("!x!y.0"))
+
+
+# ------------------------------------------------ the reference canonical forms
+#
+# The decode that wrapped each level's binders by hand and the fold that
+# restarted after every dropped copy, kept to compare the forms node for node.
+
+
+def ref_decode_level(key, env, depth, fresh_ids):
+    binders = []
+    scoped = []
+    for k, comp_keys in key:
+        level_names = [fresh(next(fresh_ids)) for _ in range(k)]
+        binders += level_names
+        labels = {(1, depth + i): w for i, w in enumerate(level_names)}
+        scoped.append(({**env, **labels}, depth + k, comp_keys))
+    comps = [ref_decode_comp(ck, e, d, fresh_ids) for e, d, comp_keys in scoped for ck in comp_keys]
+    term = par_all(comps)
+    for b in reversed(binders):
+        term = Restrict(b, term)
+    return term
+
+
+def ref_decode_comp(key, env, depth, fresh_ids):
+    match key:
+        case (1, s, o, k):
+            return Output(env[s], env[o], ref_decode_level(k, env, depth, fresh_ids))
+        case (2, s, k):
+            b = fresh(next(fresh_ids))
+            return Input(env[s], b, ref_decode_level(k, {**env, (1, depth): b}, depth + 1, fresh_ids))
+        case (3, k):
+            return Repl(ref_decode_level(k, env, depth, fresh_ids))
+    return SUCCESS
+
+
+def ref_deep_canon(p):
+    q = alpha_canonical(p)
+    free = free_names(q)
+    base = max((n.key + 1 for n in free if n.is_fresh), default=0)
+    env = {(0, n.space, n.key): n for n in free}
+    return ref_decode_level(congruence._level_key(q, {}, 0), env, 0, itertools.count(base))
+
+
+def ref_refold(comps):
+    comps = list(comps)
+    changed = True
+    while changed:
+        changed = False
+        for i, c in enumerate(comps):
+            for j, d in enumerate(comps):
+                if i != j and isinstance(d, Repl) and alpha_eq(c, d.body):
+                    comps.pop(i)
+                    changed = True
+                    break
+            if changed:
+                break
+    return comps
+
+
+def ref_canonical_state(p):
+    q = ref_deep_canon(p)
+    restricted, comps = flatten(q)
+    folded = ref_refold(comps)
+    if len(folded) == len(comps):
+        return q
+    return ref_deep_canon(rebuild(restricted, folded))
+
+
+def _nested_replications(q):
+    """Replication components of ``q``'s top level that are the body of
+    another one, the only case where the restart loop's order matters."""
+    comps = flatten(q)[1]
+    bodies = [d.body for d in comps if isinstance(d, Repl)]
+    return [c for c in comps if isinstance(c, Repl) and any(alpha_eq(c, b) for b in bodies)]
+
+
+def assert_same_canonical_forms(p):
+    """Both forms are the reference's nodes, except where the reference
+    folds a chain of nested replications only in part: then the one-pass
+    fold keeps fewer components and stays congruent."""
+    assert deep_canon(p) is ref_deep_canon(p), pprint(p)
+    state, ref = canonical_state(p), ref_canonical_state(p)
+    if state is ref:
+        return True
+    assert _nested_replications(deep_canon(p)), pprint(p)
+    assert len(flatten(state)[1]) < len(flatten(ref)[1]), pprint(p)
+    assert struct_eq_bounded(state, ref).outcome is Outcome.HOLDS, pprint(p)
+    return False
+
+
+def test_canonical_forms_equal_the_reference_on_the_three_node_corpus():
+    corpus = list(generate_terms(GeneratorConfig(max_nodes=3)))
+    terms = corpus + [encode(t, scheme) for scheme in EncodingScheme for t in corpus]
+    terms += [asyncify(t) for t in terms]
+    terms += [q for t in terms for q, _ in reduct_candidates(t)]
+    for t in dict.fromkeys(terms):
+        assert_same_canonical_forms(t)
+
+
+def test_canonical_forms_equal_the_reference_on_random_terms():
+    cfg = GeneratorConfig(max_nodes=8, random_count=2000, seed=3)
+    for t in generate_terms(cfg):
+        assert_same_canonical_forms(t)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(TERMS)
+def test_canonical_forms_equal_the_reference_on_generated_terms(p):
+    assert_same_canonical_forms(p)
+
+
+def test_canonical_state_folds_a_chain_of_nested_replications():
+    # Every copy beside its replication goes, whichever of them is met
+    # first; the restart loop dropped !!Q first and kept !Q.
+    chain = parse("!new a. a!a.0 | !!new a. a!a.0 | !!!new a. a!a.0")
+    assert canonical_state(chain) is canonical_state(parse("!!!new a. a!a.0"))
+    assert not assert_same_canonical_forms(chain)
 
 
 # ------------------------------------------------------ bounded unfolding
