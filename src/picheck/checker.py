@@ -39,6 +39,7 @@ from .reduction import (
     diverges_bounded,
     explore,
     has_success,
+    inert_normal_form,
     inert_reducts,
     may_succeed,
     reduct_candidates,
@@ -396,13 +397,35 @@ def check_op_soundness(
     translate: Translate | None = None,
 ) -> Verdict:
     """Every reachable target state can keep reducing onto the encoding of
-    some reachable source state.  Decided by marking matching target states
-    and closing backwards; only fully explored graphs may be judged.
+    some reachable source state, modulo inert steps.  Decided by marking
+    matching target states and closing backwards; only fully explored
+    graphs may be judged.
 
-    A target state matches an image up to structural congruence ≡.  Gorla
-    states operational soundness up to a success-respecting target
-    equivalence ≍, and ≡ is contained in it: a Holds proves Gorla's clause,
-    and a Violated refutes only the ≡ form.
+    The target graph is explored modulo inert steps: its root and every
+    successor are replaced by their ``inert_normal_form`` before they are
+    keyed, and so are the images ``tr(S')`` the states are matched against.
+    Without that, a target that keeps a pending handshake one inert step
+    from ``0`` beside each new copy of a replication, ``!P | H | ... | H``,
+    grows past its size bound although it has one state modulo inert
+    steps.  The images need it too: ``[[new x. (x!y.0 | x(z).0)]]``
+    normalises to ``0`` under both schemes.  Why the quotient is sound:
+
+    - inert steps unfold nothing and consume two prefixes each, so they
+      terminate;
+    - ``_inert_ok`` leaves the reacting channel to the two prefixes alone,
+      so an inert step commutes with every other step;
+    - so a normal form is unique up to ≡ (Groote & Sellink, "Confluence for
+      process verification", TCS 1996), the normal form of every state
+      reachable from ``tr(s)`` is congruent to an explored state, and a
+      state reaches a normalised image exactly when its normal form does.
+
+    A target state matches a normalised image up to structural congruence
+    ≡.  Gorla states operational soundness up to a success-respecting
+    target equivalence ≍, and inert steps are invisible to it: they are
+    confluent and fire on a restricted channel, which is the
+    administrative-step argument of Nestmann & Pierce ("Decoding choice
+    encodings", Inf. & Comp. 2000).  So a Holds proves Gorla's clause up
+    to ≍, and a Violated refutes only the "≡ modulo inert steps" form.
 
     When neither ``s`` nor its translation can step, and the step budget
     allows one expansion, both graphs have one state, and the only target
@@ -420,10 +443,16 @@ def check_op_soundness(
     src = explore(s, step_budget=step_budget, state_cap=state_cap, stop_at_cut=True)
     if src.truncated:
         return verdicts.inconclusive(witness=s, states=len(src.states))
-    tgt = explore(enc_s, step_budget=step_budget, state_cap=state_cap, stop_at_cut=True)
+    tgt = explore(
+        enc_s,
+        step_budget=step_budget,
+        state_cap=state_cap,
+        stop_at_cut=True,
+        normalise=inert_normal_form,
+    )
     if tgt.truncated:
         return verdicts.inconclusive(witness=s, states=len(tgt.states))
-    images = [tr(term) for term in src.states.values()]
+    images = [inert_normal_form(tr(term)) for term in src.states.values()]
     marked = set()
     maybe = set()
     for key, term in tgt.states.items():

@@ -232,19 +232,21 @@ def _cmd_gen(args) -> int:
 
 
 def _criteria(selector: str) -> tuple[Criterion, ...]:
-    if selector == "all":
-        return DEFAULT_CRITERIA
     by_value = {c.value: c for c in Criterion}
     chosen = []
     for label in selector.split(","):
         label = label.strip()
+        if label == "all":
+            chosen.extend(DEFAULT_CRITERIA)
+            continue
         if label not in by_value:
             raise UsageError(
                 f"unknown criterion {label!r} (choose from "
                 f"{', '.join(by_value)} or 'all')"
             )
         chosen.append(by_value[label])
-    # A name given twice is read once, as ``--names`` reads a letter once.
+    # A name given twice, by itself or through 'all', is read once, at its
+    # first position, as ``--names`` reads a letter once.
     return tuple(dict.fromkeys(chosen))
 
 
@@ -398,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ck = sub.add_parser("check", help="run validity criteria over a corpus")
     ck.add_argument("--criteria", default="all",
-                    help="comma-separated criterion names, or 'all'")
+                    help="comma-separated criterion names; 'all' stands for "
+                         "every default criterion")
     ck.add_argument("--scheme", default="both", help="boudol, ht, or both")
     corpus_flags(ck)
     ck.add_argument("--step-budget", type=_count, default=STEP_BUDGET,

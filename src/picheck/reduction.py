@@ -248,6 +248,25 @@ def inert_reducts(p: Process) -> tuple[tuple[Process, RedexDescriptor], ...]:
     return _steps((p,), inert_only=True)
 
 
+@memo
+def inert_normal_form(p: Process) -> Process:
+    """``p`` after inert steps, the first of ``inert_reducts`` each time,
+    until none is left; ``p`` itself when it is not asynchronous.
+
+    The chain ends: an inert step unfolds nothing and consumes two prefixes.
+    Which inert step is taken does not matter up to ≡: ``_inert_ok`` leaves
+    the reacting channel to the two prefixes alone, so an inert step and any
+    other step commute (the diamond ``checker.check_inert_confluence``
+    tests), and a terminating relation whose steps commute has one normal
+    form up to ≡ (Groote & Sellink, "Confluence for process verification",
+    TCS 1996)."""
+    if not is_async(p):
+        return p
+    while steps := inert_reducts(p):
+        p = steps[0][0]
+    return p
+
+
 def has_success(p: Process) -> bool:
     """True when a success leaf sits at an unguarded position."""
     return p._barb
@@ -418,6 +437,7 @@ def explore(
     step_budget: int = STEP_BUDGET,
     state_cap: int = STATE_CAP,
     stop_at_cut: bool = False,
+    normalise: Callable[[Process], Process] | None = None,
 ) -> ReductionGraph:
     """Breadth-first exploration up to the budgets.
 
@@ -446,9 +466,16 @@ def explore(
     incomplete.  A cut only turns an answer into Inconclusive.
 
     Every reached state is keyed by its ``canonical_state``, so congruent
-    states fold into one."""
-    root = canonical_state(p)
+    states fold into one.
+
+    ``normalise``, when given, replaces the root and every successor before
+    it is keyed, as ``inert_normal_form`` does for op-soundness.  An edge
+    then stands for its step followed by the normalising steps, and carries
+    the redex of its step; the size bound stays ``growth_cap(p)``."""
     size_cap = growth_cap(p)
+    if normalise is not None:
+        p = normalise(p)
+    root = canonical_state(p)
     states: dict[Process, Process] = {root: p}
     edges: dict[Process, dict[Process, RedexDescriptor]] = {}
     parents: dict[Process, tuple | None] = {root: None}
@@ -467,6 +494,8 @@ def explore(
                 continue
             succs = edges[k] = {}
             for q, rd in reduct_candidates(states[k]):
+                if normalise is not None:
+                    q = normalise(q)
                 qk = canonical_state(q)
                 succs[qk] = rd
                 if qk not in states:

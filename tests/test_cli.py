@@ -329,6 +329,23 @@ def test_check_reads_a_repeated_criterion_once(capsys, mode):
     assert once[1] == twice[1]
 
 
+def test_check_reads_all_inside_a_list_as_the_default_criteria(capsys):
+    argv = ("check", "--max-nodes", "1", "--scheme", "boudol", "--criteria")
+
+    def criteria(selector):
+        code, out, err = run(capsys, *argv, selector)
+        assert code == 0, err
+        return [line.split()[2] for line in out.splitlines()]
+
+    defaults = criteria("all")
+    assert len(defaults) == 7
+    assert criteria("all,lemma-suite") == defaults
+    assert criteria("lemma-suite,all") == ["lemma-suite"] + [
+        c for c in defaults if c != "lemma-suite"
+    ]
+    assert criteria("barb-confluence,all") == ["barb-confluence"] + defaults
+
+
 def test_check_json_does_not_depend_on_the_hash_seed():
     # Nodes and names hash by identity, that is by address: the run under
     # the system allocator puts them at other addresses, so any output that

@@ -15,7 +15,8 @@ import signal
 
 import pytest
 from hypothesis import given, settings
-from test_syntax import TERMS
+from hypothesis import strategies as st
+from test_syntax import NAMES, TERMS
 
 from picheck import reduction, verdicts
 from picheck.checker import GeneratorConfig, asyncify, generate_terms
@@ -41,6 +42,7 @@ from picheck.reduction import (
     explore,
     growth_cap,
     has_success,
+    inert_normal_form,
     inert_reducts,
     may_succeed,
     reduces_to,
@@ -249,6 +251,80 @@ def test_inert_requires_exclusive_use():
 def test_inert_rejects_synchronous_terms():
     with pytest.raises(ValueError):
         inert_reducts(parse("x!y.x!y.0"))
+
+
+def _inert_closure(p):
+    """Every term reached from ``p`` by a chain of ``inert_reducts`` steps,
+    ``p`` included."""
+    seen = {p}
+    stack = [p]
+    while stack:
+        for q, _ in inert_reducts(stack.pop()):
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
+    return seen
+
+
+def _last_inert_normal_form(p):
+    """``inert_normal_form`` taking the last inert reduct each time."""
+    while steps := inert_reducts(p):
+        p = steps[-1][0]
+    return p
+
+
+def _assert_inert_normal_form(p):
+    nf = inert_normal_form(p)
+    assert inert_reducts(nf) == (), pprint(p)
+    assert nf in _inert_closure(p), pprint(p)
+    assert canonical_state(nf) is canonical_state(_last_inert_normal_form(p)), pprint(p)
+
+
+def _encodings_and_their_reducts(s):
+    for scheme in EncodingScheme:
+        enc = encode(s, scheme)
+        yield enc
+        for q, _ in reduct_candidates(enc):
+            yield q
+
+
+def test_inert_normal_form_vectors():
+    p = parse("new v. (v!y.0 | v(q).q!q.0 | z!w.0)")
+    assert struct_eq_s(inert_normal_form(p), parse("y!y.0 | z!w.0"))
+    for scheme in EncodingScheme:
+        assert inert_normal_form(encode(parse("new x. (x!y.0 | x(z).0)"), scheme)) is NIL
+    # Not asynchronous, so no step is inert: the term itself.
+    sync = parse("new v. (v!y.x!x.0 | v(q).0)")
+    assert inert_normal_form(sync) is sync
+    # Two inert steps to choose from, one of which enables a third.
+    two = parse("new u. (u!y.0 | u(q).0) | new v. (v!x.0 | v(r).new w. (w!r.0 | w(s).0))")
+    assert len(inert_reducts(two)) == 2
+    assert inert_normal_form(two) is NIL
+    _assert_inert_normal_form(two)
+
+
+def test_inert_normal_form_on_the_3_node_encodings_and_their_reducts():
+    corpus = generate_terms(GeneratorConfig(max_nodes=3))
+    terms = {t for s in corpus for t in _encodings_and_their_reducts(s)}
+    assert sum(len(inert_reducts(t)) == 1 for t in terms) > 0
+    for t in terms:
+        _assert_inert_normal_form(t)
+
+
+# Handshakes in parallel, so that their encodings step, and two steps on
+# often leave more than one pending inert step to choose from.
+HANDSHAKES = st.lists(st.tuples(NAMES, NAMES, TERMS, TERMS), min_size=1, max_size=2).map(
+    lambda hs: par_all([Par(Output(a, b, p), Input(a, b, q)) for a, b, p, q in hs])
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(HANDSHAKES)
+def test_inert_normal_form_on_generated_encodings_and_their_reducts(s):
+    for t in _encodings_and_their_reducts(s):
+        _assert_inert_normal_form(t)
+        for q, _ in reduct_candidates(t):
+            _assert_inert_normal_form(q)
 
 
 def test_boudol_trace_steps_two_and_three_are_inert():

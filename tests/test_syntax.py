@@ -443,6 +443,7 @@ MEMOISED = {
     "canonical_state",
     "reduct_candidates",
     "inert_reducts",
+    "inert_normal_form",
     "_barbs",
 }
 
