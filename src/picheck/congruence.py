@@ -10,8 +10,8 @@ canonical forms.
 
 ``flatten`` splits one level of a term into Milner's standard form
 ``new x~.(M1 | ... | Mn)`` ("The polyadic pi-calculus: a tutorial", 1993),
-and ``rebuild`` puts such a level back together.  The canonical forms, the
-redex loop and the lemma suite all read a level through them: ``deep_canon``
+and ``rebuild`` puts such a level back together.  The canonical forms and
+the redex loop read a level through them: ``deep_canon``
 decodes every level through ``rebuild``, and ``canonical_state`` drops, in
 one pass over the flattened top level, every copy standing beside its own
 replication (``P | !P == !P``) and rebuilds what is left.

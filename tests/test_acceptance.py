@@ -19,6 +19,7 @@ from picheck import (
     check_barb_confluence,
     check_inert_confluence,
     check_lemma_suite,
+    check_name_invariance,
     check_op_completeness,
     check_op_soundness,
     diverges_bounded,
@@ -113,8 +114,11 @@ def test_criterion_4_lemma_suite_randomized():
     failures = 0
     for scheme in SCHEMES:
         for t in generate_terms(cfg):
-            if not check_lemma_suite(t, scheme, sigmas=sigmas).is_holds:
+            if not check_lemma_suite(t, scheme).is_holds:
                 failures += 1
+            for sigma in sigmas:
+                if not check_name_invariance(t, sigma, scheme).is_holds:
+                    failures += 1
     assert failures == 0
     print(f"criterion 4: {RANDOM_COUNT} random terms x 2 schemes, zero failures")
 
@@ -179,17 +183,33 @@ def test_criterion_8_divergence_witnesses_and_termination(corpus4):
           f"{len(replication_free)} replication-free terms terminate on both sides")
 
 
+# Each mutant's first Violated verdict, (criterion, term), on the 3-node
+# and the 4-node corpus alike.
+CATCH_TABLE = {
+    (B, Mutation.DROP_FORWARDER): ("lemma-suite", "x!y.0"),
+    (B, Mutation.SWAP_FRESH_ROLES): ("op-completeness", "x!x.0 | x(x).0"),
+    (B, Mutation.REUSE_BOUND_NAME): ("lemma-suite", "x!x.0"),
+    (B, Mutation.SWAP_SCHEME_OUTPUT): ("op-completeness", "x!x.0 | x(x).0"),
+    (HT, Mutation.DROP_FORWARDER): ("lemma-suite", "x!y.0"),
+    (HT, Mutation.SWAP_FRESH_ROLES): ("lemma-suite", "x!y.0"),
+    (HT, Mutation.REUSE_BOUND_NAME): ("lemma-suite", "x!y.0"),
+    (HT, Mutation.SWAP_SCHEME_OUTPUT): ("op-completeness", "x!x.0 | x(x).0"),
+}
+
+
 def test_criterion_9_mutation_sensitivity():
-    cfg = GeneratorConfig(max_nodes=4)
-    caught = []
-    for scheme in SCHEMES:
-        for mutation in Mutation:
-            broken = mutant_encoder(scheme, mutation)
-            found = first_violation(cfg, scheme, translate=broken)
-            assert found is not None, (scheme, mutation)
-            term, criterion, verdict = found
-            assert verdict.is_violated
-            caught.append((scheme.value, mutation.value, criterion.value, pprint(term)))
-    assert len(caught) == 8
-    for entry in caught:
-        print("criterion 9: {} x {} caught by {} at {}".format(*entry))
+    for max_nodes in (3, 4):
+        cfg = GeneratorConfig(max_nodes=max_nodes)
+        caught = {}
+        for scheme in SCHEMES:
+            for mutation in Mutation:
+                broken = mutant_encoder(scheme, mutation)
+                found = first_violation(cfg, scheme, translate=broken)
+                assert found is not None, (max_nodes, scheme, mutation)
+                term, criterion, verdict = found
+                assert verdict.is_violated
+                caught[scheme, mutation] = (criterion.value, pprint(term))
+        assert caught == CATCH_TABLE, max_nodes
+    for (scheme, mutation), entry in caught.items():
+        print("criterion 9: {} x {} caught by {} at {}".format(
+            scheme.value, mutation.value, *entry))

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picheck import checker, reduction, verdicts
-from picheck.congruence import UNFOLDS
+from picheck.congruence import UNFOLDS, flatten
 from picheck.reduction import PROBE_BUDGET, STATE_CAP, STEP_BUDGET, can_step
+from picheck.syntax import names
 from test_reduction import deadline
 from test_syntax import TERMS
 from picheck import (
@@ -29,6 +30,7 @@ from picheck import (
     GeneratorConfig,
     Input,
     Mutation,
+    Name,
     Output,
     Par,
     Repl,
@@ -39,6 +41,7 @@ from picheck import (
     alpha_canonical,
     alpha_eq,
     anchor_steps,
+    apply_renaming,
     check_barb_confluence,
     check_compositionality,
     check_divergence_reflection,
@@ -53,6 +56,7 @@ from picheck import (
     first_violation,
     free_names,
     generate_terms,
+    has_success,
     inert_normal_form,
     is_async,
     mutant_encoder,
@@ -62,6 +66,7 @@ from picheck import (
     run_suite,
     struct_eq_bounded,
     struct_eq_s,
+    substitute,
     user,
 )
 
@@ -796,6 +801,84 @@ def test_lemma_suite_names_the_failing_property():
     assert "free-names" in failed
 
 
+def ref_lemma_suite(s, scheme, *, sigmas=({},), translate=None):
+    """``check_lemma_suite`` while it still checked renaming and
+    substitution, and the flattened reading of unguarded success, kept as
+    the reference."""
+    tr = checker._translator(scheme, translate)
+    enc = tr(s)
+    failed = []
+    if free_names(enc) != free_names(s):
+        failed.append("free-names")
+    if not is_async(enc):
+        failed.append("async-image")
+    if has_success(enc) != has_success(s):
+        failed.append("success-agreement")
+    if any(has_success(c) for c in flatten(s)[1]) != has_success(s):
+        failed.append("success-decomposition-source")
+    if any(has_success(c) for c in flatten(enc)[1]) != has_success(enc):
+        failed.append("success-decomposition-target")
+    pool = sorted((n for n in names(s) if not n.is_fresh), key=Name.sort_key)
+    pool.append(checker._spare_name(pool))
+    for old in pool:
+        for new in pool:
+            if not alpha_eq(tr(substitute(s, old, new)), substitute(enc, old, new)):
+                failed.append(f"substitution:{old}->{new}")
+    for sigma in sigmas:
+        if not alpha_eq(tr(apply_renaming(s, sigma)), apply_renaming(enc, sigma)):
+            failed.append("renaming")
+            break
+    if failed:
+        return verdicts.violated(witness=(s, tuple(failed)))
+    return verdicts.holds()
+
+
+def _failed_clauses(v):
+    return v.witness[1] if v.is_violated else ()
+
+
+def test_lemma_suite_and_name_invariance_catch_what_the_reference_caught():
+    # The reference's renaming clauses moved to name invariance, which must
+    # catch every term they caught; the clauses the suite keeps must read
+    # the same; the decomposition clauses moved to the tests and never fire.
+    cfg = GeneratorConfig(max_nodes=3)
+    sigmas = checker._default_sigmas(cfg)
+    kept = ("free-names", "async-image", "success-agreement")
+    renamed = {}
+    for scheme in SCHEMES:
+        for mutation in (None, *Mutation):
+            broken = None if mutation is None else mutant_encoder(scheme, mutation)
+            for t in corpus(3):
+                ref = _failed_clauses(
+                    ref_lemma_suite(t, scheme, sigmas=sigmas[:4], translate=broken)
+                )
+                got = _failed_clauses(check_lemma_suite(t, scheme, translate=broken))
+                assert got == tuple(c for c in ref if c in kept), (pprint(t), mutation)
+                assert not any(c.startswith("success-decomposition") for c in ref)
+                if any(c == "renaming" or c.startswith("substitution:") for c in ref):
+                    assert any(
+                        check_name_invariance(t, sigma, scheme, broken).is_violated
+                        for sigma in sigmas
+                    ), (pprint(t), scheme, mutation)
+                    renamed[scheme, mutation] = renamed.get((scheme, mutation), 0) + 1
+    assert renamed == {
+        (B, Mutation.REUSE_BOUND_NAME): 496,
+        (HT, Mutation.REUSE_BOUND_NAME): 268,
+    }
+
+
+def test_default_sigmas_are_the_four_mixed_maps_then_the_one_name_maps():
+    w = user("w")
+    assert checker._default_sigmas(GeneratorConfig()) == (
+        {},
+        {x: y, y: x},
+        {x: x, y: x},
+        {y: w},
+        {x: y},
+        {x: w},
+    )
+
+
 def test_spare_name_continues_past_the_seven_letters():
     letters = [user(c) for c in "wqrstuv"]
     assert checker._spare_name([user("w"), user("x")]) is user("q")
@@ -808,7 +891,7 @@ def test_lemma_suite_and_default_sigmas_when_every_spare_letter_is_taken():
     for scheme in SCHEMES:
         assert check_lemma_suite(s, scheme).is_holds
     cfg = GeneratorConfig(max_nodes=1, name_alphabet=tuple(user(c) for c in "wqrstuv"))
-    assert checker._default_sigmas(cfg)[-1] == {user("v"): user("w0")}
+    assert {user("v"): user("w0")} in checker._default_sigmas(cfg)
 
 
 # --- confluence checks for the asynchronous fragment ---

@@ -395,6 +395,31 @@ def test_success_under_replication_is_unguarded():
     assert has_success(parse("!ok"))
 
 
+def _success_by_flattening(p):
+    """Whether some component of ``p``'s flattened top level has an
+    unguarded success leaf; ``has_success`` must agree."""
+    got = any(has_success(c) for c in flatten(p)[1])
+    assert got == has_success(p), pprint(p)
+    return got
+
+
+def test_unguarded_success_agrees_with_the_flattened_level():
+    seen = set()
+    for t in _with_encodings(list(generate_terms(GeneratorConfig(max_nodes=3)))):
+        seen.add(_success_by_flattening(t))
+        for q, _ in reduct_candidates(t):
+            seen.add(_success_by_flattening(q))
+    assert seen == {False, True}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(TERMS)
+def test_unguarded_success_agrees_with_the_flattened_level_on_generated_terms(p):
+    _success_by_flattening(p)
+    for q, _ in reduct_candidates(p):
+        _success_by_flattening(q)
+
+
 def test_may_succeed_immediately():
     v = may_succeed(parse("ok"))
     assert v.is_holds and len(v.witness.steps) == 0
