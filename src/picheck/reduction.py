@@ -61,7 +61,8 @@ from .syntax import (
 from .verdicts import Outcome, Verdict
 
 # Default budgets of the searches: steps from the start, states kept, and
-# steps of the divergence and success probes.
+# steps of the divergence and success probes.  STATE_CAP is the one state
+# cap: every search of every criterion runs under it.
 STEP_BUDGET = 64
 STATE_CAP = 10000
 PROBE_BUDGET = 16

@@ -455,12 +455,7 @@ def _soundness_graphs():
         if not reduct_candidates(s):
             continue
         for p in (s, encode(s, B), encode(s, HT)):
-            yield reduction.explore(
-                p,
-                step_budget=STEP_BUDGET,
-                state_cap=checker.SOUNDNESS_STATE_CAP,
-                stop_at_cut=True,
-            )
+            yield reduction.explore(p, step_budget=STEP_BUDGET, stop_at_cut=True)
 
 
 def test_reaches_agrees_with_the_fixpoint_on_every_soundness_graph():
@@ -628,11 +623,12 @@ def _assert_op_soundness_equals_the_reference(s, scheme, translate):
     Inconclusive may become Holds, as the target is searched modulo inert
     steps.  It may count fewer target states, for the same reason and
     because an Inconclusive stops at its first cut, and a Violated may name
-    another bad state, which is an inert normal form.  Returns the
+    another bad state, which is an inert normal form.  The reference runs
+    under 1,500 states, the checker under its default ``STATE_CAP``: no
+    search here comes near either, so the outcomes must agree.  Returns the
     reference's verdict and the one given."""
-    cap = checker.SOUNDNESS_STATE_CAP
-    got = check_op_soundness(s, scheme, state_cap=cap, translate=translate)
-    ref = _reference_op_soundness(s, scheme, state_cap=cap, translate=translate)
+    got = check_op_soundness(s, scheme, translate=translate)
+    ref = _reference_op_soundness(s, scheme, state_cap=1500, translate=translate)
     assert got.outcome is ref.outcome or (ref.is_inconclusive and got.is_holds), pprint(s)
     assert got.budget()["states"] <= ref.budget()["states"], pprint(s)
     if got.is_holds and ref.is_holds:
@@ -727,7 +723,7 @@ def test_op_soundness_stops_at_its_first_cut():
     # at the first state past the size bound, the 12th, under both schemes.
     s = parse("!(x!y.0 | x(x).y!x.0)")
     for scheme in SCHEMES:
-        v = check_op_soundness(s, scheme, state_cap=checker.SOUNDNESS_STATE_CAP)
+        v = check_op_soundness(s, scheme)
         assert v == verdicts.inconclusive(witness=s, states=12), scheme
 
 
@@ -738,7 +734,7 @@ def test_op_soundness_searches_the_target_modulo_inert_steps():
     # and has one state modulo inert steps.
     s = parse("!(y(x).0 | y!x.0)")
     for scheme in SCHEMES:
-        v = check_op_soundness(s, scheme, state_cap=checker.SOUNDNESS_STATE_CAP)
+        v = check_op_soundness(s, scheme)
         assert v == verdicts.holds(states=1, sources=1), scheme
 
 
@@ -951,6 +947,7 @@ def test_run_configuration_is_pinned():
         "cfg", "scheme", "translate",
     ]
     assert [f.name for f in dataclasses.fields(SuiteBudgets)] == ["step_budget"]
+    assert SuiteBudgets.soundness_state_cap == SuiteBudgets.state_cap == STATE_CAP
 
 
 @pytest.mark.parametrize("runner", ["run_suite", "first_violation"])

@@ -7,6 +7,7 @@ flags and seed, and across hash seeds.
 """
 
 import hashlib
+import inspect
 import json
 import os
 import shlex
@@ -21,9 +22,12 @@ from picheck import (
     NIL,
     EncodingScheme,
     GeneratorConfig,
+    Mutation,
     Par,
+    check_op_completeness,
     encode,
     generate_terms,
+    mutant_encoder,
     parse,
     pprint,
     reduct_candidates,
@@ -31,9 +35,9 @@ from picheck import (
     struct_eq_s,
     term_size,
 )
-from picheck import cli
+from picheck import checker, cli, reduction
 from picheck.cli import main
-from picheck.reduction import growth_cap
+from picheck.reduction import STATE_CAP, growth_cap
 
 B = EncodingScheme.BOUDOL
 HT = EncodingScheme.HONDA_TOKORO
@@ -388,6 +392,42 @@ def test_check_json_does_not_depend_on_the_hash_seed():
         assert outs[0] == outs[1] == outs[2], argv
         assert outs[0].count(b"\n") == lines, argv
         assert hashlib.sha256(outs[0]).hexdigest() == digest, argv
+
+
+def _record_state_caps(monkeypatch):
+    """Wrap the one search so that every state cap a search runs under,
+    passed or defaulted, is recorded in the returned list."""
+    caps = []
+    original = reduction.explore
+    signature = inspect.signature(original)
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        caps.append(bound.arguments["state_cap"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reduction, "explore", recording)
+    monkeypatch.setattr(checker, "explore", recording)
+    return caps
+
+
+def test_check_json_states_the_state_cap_every_search_ran_under(capsys, monkeypatch):
+    caps = _record_state_caps(monkeypatch)
+    code, out, _ = run(capsys, "check", "--max-nodes", "3", "--json")
+    assert code == 0
+    stated = {json.loads(line)["budgets"]["state_cap"] for line in out.splitlines()}
+    assert caps and set(caps) == stated
+
+
+def test_op_completeness_fallback_runs_under_the_stated_state_cap(monkeypatch):
+    # Without its forwarder Boudol's image misses the anchored pattern, so
+    # only the fallback's search can settle the step, and it refutes it.
+    caps = _record_state_caps(monkeypatch)
+    broken = mutant_encoder(B, Mutation.DROP_FORWARDER)
+    v = check_op_completeness(parse("x!x.0 | x(x).0"), B, translate=broken)
+    assert v.is_violated
+    assert caps and set(caps) == {STATE_CAP}
 
 
 def test_check_json_is_deterministic_and_well_formed(capsys):
