@@ -5,12 +5,16 @@ reads as a per-criterion scoreboard.  Every random draw is seeded, so a
 rerun checks the same terms.
 """
 
+import hashlib
+import io
+import json
+import sys
 import time
+from collections import Counter
 
 import pytest
 
 from picheck import (
-    DEFAULT_CRITERIA,
     EncodingScheme,
     GeneratorConfig,
     Mutation,
@@ -44,6 +48,10 @@ HT = EncodingScheme.HONDA_TOKORO
 SCHEMES = (B, HT)
 
 RANDOM_COUNT = 10_000
+# `picheck check --max-nodes 4 --criteria all --json`: 20,991 terms x 7
+# criteria x 2 schemes, one line each.
+HEADLINE_LINES = 293_874
+HEADLINE_SHA256 = "4484eaceb2d43b7ba2a67622456ef290298e49499519c36b6e538a1e78db1f4a"
 
 
 @pytest.fixture(scope="module")
@@ -53,18 +61,35 @@ def corpus4():
     return list(generate_terms(GeneratorConfig(max_nodes=4)))
 
 
-def test_criterion_1_exhaustive_corpus_zero_violated(capsys):
+class _RecordSink(io.TextIOBase):
+    """Stands in for stdout: hashes the bytes as they are written and counts
+    the outcomes of the complete JSON lines, so the stream is never held."""
+
+    def __init__(self):
+        self.sha, self.outcomes, self.tail = hashlib.sha256(), Counter(), ""
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        *lines, self.tail = (self.tail + text).split("\n")
+        self.outcomes.update(json.loads(line)["outcome"] for line in lines)
+        return len(text)
+
+
+def test_criterion_1_exhaustive_corpus_zero_violated(monkeypatch):
+    # The headline run, pinned to its bytes: any change to a verdict, a
+    # witness or a printed term shows here.
+    sink = _RecordSink()
+    monkeypatch.setattr(sys, "stdout", sink)
     start = time.perf_counter()
-    code = cli_main(["check", "--max-nodes", "4", "--criteria", "all"])
+    code = cli_main(["check", "--max-nodes", "4", "--criteria", "all", "--json"])
     elapsed = time.perf_counter() - start
-    out, _ = capsys.readouterr()
-    lines = out.splitlines()
-    assert code == 0, out
-    assert len(lines) == 2 * len(DEFAULT_CRITERIA)
-    assert all(line.startswith("PASS") for line in lines), out
-    assert all("violated=0 inconclusive=0" in line for line in lines), out
+    monkeypatch.undo()
+    assert code == 0
+    assert sink.tail == ""
+    assert sink.outcomes == {"holds": HEADLINE_LINES}, sink.outcomes
+    assert sink.sha.hexdigest() == HEADLINE_SHA256
     assert elapsed <= 300.0, f"suite took {elapsed:.1f}s"
-    print(f"criterion 1: {len(lines)} criterion runs, all holds, {elapsed:.1f}s")
+    print(f"criterion 1: {HEADLINE_LINES} verdicts, all holds, {elapsed:.1f}s")
 
 
 def test_criterion_2_step_count_anchor(corpus4):

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from picheck import checker, reduction, verdicts
+from picheck import checker, encodings, reduction, verdicts
 from picheck.congruence import UNFOLDS, flatten
+from picheck.encodings import translator
 from picheck.reduction import PROBE_BUDGET, STATE_CAP, STEP_BUDGET, can_step
 from picheck.syntax import names
 from test_reduction import deadline
@@ -51,10 +52,14 @@ from picheck import (
     check_op_completeness,
     check_op_soundness,
     check_success_sensitiveness,
+    context_for,
+    decompose,
     diverges_bounded,
     encode,
+    fill,
     first_violation,
     free_names,
+    fresh_name,
     generate_terms,
     has_success,
     inert_normal_form,
@@ -285,6 +290,98 @@ def test_compositionality_holds_on_corpus():
     for scheme in SCHEMES:
         for t in corpus(3):
             assert check_compositionality(t, scheme).is_holds, pprint(t)
+
+
+def ref_compositionality(s, scheme):
+    """The check as first written: the context indexed by fn(s), compared
+    by ``==``, then a second context indexed by fn(s) and two spare fresh
+    names, compared up to alpha."""
+    op, args = decompose(s)
+    if not args:
+        return verdicts.holds()
+    tr = translator(scheme)
+    lhs = tr(s)
+    enc_args = tuple(tr(a) for a in args)
+    n = free_names(s)
+    try:
+        exact = fill(context_for(op, n, scheme), enc_args) == lhs
+        taken = names(s)
+        e1 = fresh_name(taken)
+        e2 = fresh_name(taken | {e1})
+        wider = fill(context_for(op, n | {e1, e2}, scheme), enc_args)
+        relaxed = alpha_eq(wider, lhs)
+    except ValueError:
+        return verdicts.violated(witness=(s, "context capture"))
+    if exact and relaxed:
+        return verdicts.holds()
+    return verdicts.violated(witness=(s, "exact" if not exact else "alpha"))
+
+
+def _assert_compositionality_equals_the_reference(terms):
+    for t in terms:
+        for scheme in SCHEMES:
+            assert check_compositionality(t, scheme) == ref_compositionality(t, scheme), (
+                pprint(t), scheme,
+            )
+
+
+def test_compositionality_equals_the_reference():
+    c3 = corpus(3)
+    _assert_compositionality_equals_the_reference(c3)
+    _assert_compositionality_equals_the_reference(corpus(3, name_alphabet=(x, y, user("z"))))
+    _assert_compositionality_equals_the_reference(
+        generate_terms(GeneratorConfig(max_nodes=8, random_count=2000, seed=3))
+    )
+    # Encodings bind fresh names, so their arguments have free fresh names:
+    # the names that the contexts' own fresh binders and the reference's
+    # two spare names must avoid.
+    derived = []
+    for t in c3:
+        images = [t, *(encode(t, scheme) for scheme in SCHEMES)]
+        derived += images[1:]
+        derived += map(alpha_canonical, images)
+        derived += (r for u in images for r, _ in reduct_candidates(u))
+    assert any(
+        n.is_fresh for u in derived for a in decompose(u)[1] for n in free_names(a)
+    )
+    _assert_compositionality_equals_the_reference(derived)
+
+
+def test_compositionality_equals_the_reference_on_the_mutant_clauses(monkeypatch):
+    # Each mutant's output clause patched in as its scheme's, both in the
+    # encoder and in the contexts.  Only the clauses that shadow a name of
+    # the plug fail, and the same terms fail on both sides.
+    c3 = corpus(3)
+    captures = {(B, Mutation.REUSE_BOUND_NAME): 152, (HT, Mutation.REUSE_BOUND_NAME): 220}
+    for mutation, row in encodings._MUTANT_OUT_TEMPLATES.items():
+        for scheme, template in zip(SCHEMES, row):
+            monkeypatch.setitem(encodings._OUT, scheme, encodings._clause(template))
+            monkeypatch.setitem(encodings._TRANSLATORS, scheme, mutant_encoder(scheme, mutation))
+            caught = 0
+            for t in c3:
+                got = check_compositionality(t, scheme)
+                assert got == ref_compositionality(t, scheme), (pprint(t), scheme, mutation)
+                if not got.is_holds:
+                    assert got.witness == (t, "context capture"), (pprint(t), scheme, mutation)
+                    caught += 1
+            assert caught == captures.get((scheme, mutation), 0), (scheme, mutation)
+
+
+def test_compositionality_indexes_one_context_by_the_arguments_free_names(monkeypatch):
+    calls = []
+    real = checker.context_for
+
+    def recording(op, free_set, scheme):
+        calls.append(free_set)
+        return real(op, free_set, scheme)
+
+    monkeypatch.setattr(checker, "context_for", recording)
+    z, a = user("z"), user("a")
+    for src, index in (("x(z).z!z.0", {z}), ("x!y.z!z.0", {z}), ("new a. a!a.0", {a})):
+        for scheme in SCHEMES:
+            calls.clear()
+            assert check_compositionality(parse(src), scheme).is_holds, (src, scheme)
+            assert calls == [index], (src, scheme)
 
 
 # --- name invariance ---
