@@ -296,11 +296,12 @@ def check_name_invariance(
     Gorla's name invariance ("Towards a unified approach to encodability
     and separation results for process calculi", Inf. & Comp. 2010) asks
     this of every substitution.  A run checks the maps of
-    ``_default_sigmas``: the identity, the swap, the collapse onto one name
-    and a move into a spare name, which move or merge several names at
-    once, then every one-name map from the alphabet into the alphabet plus
-    the spare name, the single substitutions a corpus term can meet.  This
-    is the only criterion that renames."""
+    ``_default_sigmas``: the swap, the collapse onto one name and a move
+    into a spare name, which move or merge several names at once, then
+    every one-name map from the alphabet into the alphabet plus the spare
+    name, the single substitutions a corpus term can meet.  The identity
+    is not checked: both sides are then the translation itself.  This is
+    the only criterion that renames."""
     tr = _translator(scheme, translate)
     lhs = tr(apply_renaming(s, sigma))
     rhs = apply_renaming(tr(s), sigma)
@@ -561,24 +562,22 @@ def _spare_name(taken: Iterable[Name]) -> Name:
 
 def _default_sigmas(cfg: GeneratorConfig) -> tuple[dict[Name, Name], ...]:
     """Name invariance's maps, in the order it checks them (see
-    ``check_name_invariance``).  A one-name map equal to an earlier map once
-    identity pairs are dropped is skipped, and none maps the spare name,
-    which no corpus term holds."""
+    ``check_name_invariance``).  A map is kept only if, with identity pairs
+    dropped, it moves some name and differs from every earlier map.  None
+    maps the spare name, which no corpus term holds."""
     alphabet = list(cfg.name_alphabet)
     extra = _spare_name(alphabet)
     sigmas = [
-        {},
         dict(zip(alphabet, reversed(alphabet))),
         {n: alphabet[0] for n in alphabet},
         {alphabet[-1]: extra},
     ]
-    seen = [{k: v for k, v in sigma.items() if k != v} for sigma in sigmas]
-    for old in alphabet:
-        for new in alphabet + [extra]:
-            if old != new and {old: new} not in seen:
-                seen.append({old: new})
-                sigmas.append({old: new})
-    return tuple(sigmas)
+    sigmas += ({old: new} for old in alphabet for new in alphabet + [extra])
+    kept = {}
+    for sigma in sigmas:
+        if moved := frozenset((k, v) for k, v in sigma.items() if k != v):
+            kept.setdefault(moved, sigma)
+    return tuple(kept.values())
 
 
 def check_lemma_suite(
@@ -754,11 +753,10 @@ def first_violation(
     cheapest criteria first, and stop at the first Violated verdict.  Suited
     to confirming that a deliberately broken encoder is caught without
     paying for a full suite run.  None of those criteria reads the step
-    budget."""
-    sigmas = _default_sigmas(cfg)
+    budget, and none renames."""
     for term in generate_terms(cfg):
         for criterion in MUTATION_SCAN_ORDER:
-            v = _dispatch(criterion, term, scheme, translate, sigmas)
+            v = _dispatch(criterion, term, scheme, translate, ())
             if v.is_violated:
                 return term, criterion, v
     return None

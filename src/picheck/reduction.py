@@ -70,12 +70,11 @@ PROBE_BUDGET = 16
 
 @dataclass(frozen=True)
 class RedexDescriptor:
-    """Which communication fired: channel and transmitted name, whether the
-    channel is restricted, and whether the step is inert."""
+    """Which communication fired: channel and transmitted name, and whether
+    the step is inert."""
 
     subject: Name
     sent: Name
-    subject_restricted: bool
     inert: bool
 
 
@@ -148,7 +147,6 @@ def _steps(
                 rd = RedexDescriptor(
                     subject=out.subject,
                     sent=out.obj,
-                    subject_restricted=out.subject in restricted,
                     inert=inert_only or _inert_ok(restricted, comps, i, j),
                 )
                 results.append((q, rd))

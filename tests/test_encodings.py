@@ -155,6 +155,16 @@ def test_encoding_respects_alpha_classes():
             assert alpha_eq(encode(alpha_canonical(t), scheme), encode(t, scheme))
 
 
+@pytest.mark.parametrize("names", [(x, y), (x, y, z)], ids=["xy", "xyz"])
+def test_encoding_is_injective_up_to_alpha(names):
+    # The corpus holds one term per alpha class, so distinct terms must
+    # have images in distinct alpha classes.
+    terms = corpus(names=names)
+    for scheme in SCHEMES:
+        images = {alpha_canonical(encode(t, scheme)) for t in terms}
+        assert len(images) == len(terms), scheme
+
+
 # --- operator decomposition and contexts ---
 
 

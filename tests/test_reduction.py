@@ -9,6 +9,7 @@ components in place.
 """
 
 import contextlib
+import dataclasses
 import functools
 import itertools
 import signal
@@ -224,6 +225,14 @@ def test_reducts_between_two_copies_of_a_replication():
     assert canonical_state(cross) in states
 
 
+def test_redex_descriptor_fields_are_pinned():
+    # Whether the subject is restricted is not stored: it is
+    # ``subject not in free_names(source)``.
+    assert [f.name for f in dataclasses.fields(RedexDescriptor)] == [
+        "subject", "sent", "inert",
+    ]
+
+
 # ------------------------------------------------------------ inert steps
 
 
@@ -232,7 +241,7 @@ def test_inert_reduct_contracts_private_handshake():
     reducts = inert_reducts(p)
     assert len(reducts) == 1
     q, rd = reducts[0]
-    assert rd.inert and rd.subject_restricted
+    assert rd.inert and rd.subject not in free_names(p)
     assert struct_eq_s(q, parse("y!y.0 | z!w.0"))
 
 
@@ -734,7 +743,6 @@ def ref_reduct_candidates(p):
                 rd = RedexDescriptor(
                     subject=out.subject,
                     sent=out.obj,
-                    subject_restricted=out.subject in restricted,
                     inert=_inert_ok(restricted, comps, i, j),
                 )
                 results.append((q, rd))
@@ -764,7 +772,6 @@ def ref_inert_reducts(p):
             rd = RedexDescriptor(
                 subject=out.subject,
                 sent=out.obj,
-                subject_restricted=True,
                 inert=True,
             )
             results.append((q, rd))

@@ -519,10 +519,10 @@ def corpus_and_encodings(cfg):
 
 def renaming_cases():
     """(term, sigma) for the 3-node corpus and both its encodings, under
-    every map name invariance checks in ``picheck check``, one-name maps
-    included."""
+    the empty map and every map name invariance checks in ``picheck
+    check``, one-name maps included."""
     cfg = GeneratorConfig(max_nodes=3)
-    sigmas = checker._default_sigmas(cfg)
+    sigmas = ({}, *checker._default_sigmas(cfg))
     return [(t, sigma) for t in corpus_and_encodings(cfg) for sigma in sigmas]
 
 
