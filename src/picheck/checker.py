@@ -56,8 +56,8 @@ from .syntax import (
     Process,
     Repl,
     Restrict,
-    alpha_canonical,
     alpha_eq,
+    alpha_key,
     apply_renaming,
     free_names,
     has_replication,
@@ -88,7 +88,7 @@ def _exhaustive(cfg: GeneratorConfig) -> Iterator[Process]:
     never equals another one, nor any smaller term, and is appended without
     a key.  Only a binder can make two candidates alpha-equal, as in
     ``x(x).0`` and ``x(y).0``; ``Input`` and ``Restrict`` candidates are
-    keyed by ``alpha_canonical`` against the layer's keys.  A repeated
+    keyed by ``alpha_key`` against the layer's keys.  A repeated
     letter would repeat the unkeyed candidates, so the alphabet is deduped
     first, keeping its order.
     """
@@ -97,10 +97,10 @@ def _exhaustive(cfg: GeneratorConfig) -> Iterator[Process]:
     yield NIL
     for k in range(1, cfg.max_nodes + 1):
         layer: list[Process] = []
-        keys: set[Process] = set()
+        keys: set[tuple] = set()
 
         def add_binder(t: Process) -> None:
-            key = alpha_canonical(t)
+            key = alpha_key(t)
             if key not in keys:
                 keys.add(key)
                 layer.append(t)

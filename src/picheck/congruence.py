@@ -37,6 +37,7 @@ from .syntax import (
     Success,
     alpha_canonical,
     alpha_eq,
+    alpha_key,
     free_names,
     fresh,
     has_replication,
@@ -297,15 +298,16 @@ def _single_unfolds(p: Process) -> Iterator[Process]:
 def unfold_replications(p: Process, depth: int) -> tuple[Process, ...]:
     """Terms reachable by at most ``depth`` single unfoldings, including ``p``.
 
-    Deduplicates up to alpha, and stops at ``MAX_CANDIDATES`` terms.
+    Deduplicates up to alpha, keeping the first term found of each class
+    under its ``alpha_key``, and stops at ``MAX_CANDIDATES`` terms.
     """
-    seen = {alpha_canonical(p): p}
+    seen = {alpha_key(p): p}
     frontier = [p]
     for _ in range(depth):
         nxt = []
         for t in frontier:
             for t2 in _single_unfolds(t):
-                k = alpha_canonical(t2)
+                k = alpha_key(t2)
                 if k not in seen:
                     seen[k] = t2
                     nxt.append(t2)

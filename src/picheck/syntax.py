@@ -533,6 +533,40 @@ def alpha_eq(p: Process, q: Process) -> bool:
     return True
 
 
+def alpha_key(p: Process) -> tuple | Process:
+    """A value equal for exactly the terms alpha-equal to ``p``: a key to
+    compare or hash, not a term, built in one walk and stored nowhere.
+
+    It reads ``p`` as ``alpha_eq`` does: a bound name as the depth of its
+    binder, counted in binders from the root, and a free name as itself.
+    Each operator is a tuple tagged by its class, holding its read names
+    and its children's keys; a leaf (``0``, ``ok``, ``Hole(i)``) is its
+    interned node.  Depths are ints and free names are ``Name``s, so the
+    two never meet, and a tag and its arity fix how the rest of a tuple
+    reads.  So two keys are equal exactly when the walks of ``alpha_eq``
+    agree everywhere, that is, when ``alpha_canonical`` gives the same
+    node for both terms.
+    """
+    return _alpha_key(p, {}, 0)
+
+
+def _alpha_key(q: Process, env: dict[Name, int], depth: int) -> tuple | Process:
+    kind = type(q)
+    if kind is Output:
+        s, o = q.subject, q.obj
+        return kind, env.get(s, s), env.get(o, o), _alpha_key(q.cont, env, depth)
+    if kind is Input:
+        s = q.subject
+        return kind, env.get(s, s), _alpha_key(q.cont, {**env, q.binder: depth}, depth + 1)
+    if kind is Restrict:
+        return kind, _alpha_key(q.body, {**env, q.binder: depth}, depth + 1)
+    if kind is Par:
+        return kind, _alpha_key(q.left, env, depth), _alpha_key(q.right, env, depth)
+    if kind is Repl:
+        return kind, _alpha_key(q.body, env, depth)
+    return q
+
+
 def is_async(p: Process) -> bool:
     """True iff every output prefix has an empty continuation."""
     return p._async

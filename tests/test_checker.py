@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from picheck import checker, encodings, reduction, verdicts
+from picheck import checker, congruence, encodings, reduction, syntax, verdicts
 from picheck.congruence import UNFOLDS, flatten
 from picheck.encodings import translator
 from picheck.reduction import PROBE_BUDGET, STATE_CAP, STEP_BUDGET, can_step
@@ -178,10 +178,18 @@ def test_exhaustive_corpus_equals_the_reference_on_any_alphabet(letters, max_nod
 
 def test_exhaustive_corpus_keys_only_binder_candidates(monkeypatch):
     # Only Input and Restrict candidates can be alpha-equal to another
-    # candidate; keying every candidate made 22,452 calls here.
+    # candidate; keying every candidate made 22,452 calls here.  The key is
+    # compared only, so generation builds no alpha form.
     calls = []
-    real = checker.alpha_canonical
-    monkeypatch.setattr(checker, "alpha_canonical", lambda p: calls.append(p) or real(p))
+    real = checker.alpha_key
+    monkeypatch.setattr(checker, "alpha_key", lambda p: calls.append(p) or real(p))
+
+    def refuse(p):
+        raise AssertionError(f"alpha form built for {pprint(p)}")
+
+    for module in (syntax, checker, congruence, reduction):
+        if hasattr(module, "alpha_canonical"):
+            monkeypatch.setattr(module, "alpha_canonical", refuse)
     assert len(corpus(4)) == 20991
     assert len(calls) == 9282
     assert all(isinstance(p, (Input, Restrict)) for p in calls)
@@ -194,6 +202,10 @@ def test_corpus_digests_are_pinned():
         (
             GeneratorConfig(max_nodes=4),
             "1e2fd0bba477ea0d80829ae7dcb0664197fc9d9a7b703b54afae46e42e55fa93",
+        ),
+        (
+            GeneratorConfig(max_nodes=5),
+            "7b59967c04151f3428a49c1543a7feb2a79a953c953a27823671390514121000",
         ),
         (
             GeneratorConfig(max_nodes=6, random_count=2000, seed=0),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import picheck
 from picheck import checker, congruence, encodings, reduction, syntax, text
 from picheck.checker import GeneratorConfig, generate_terms
-from picheck.encodings import EncodingScheme, encode
+from picheck.encodings import EncodingScheme, context_for, decompose, encode
 from picheck.reduction import has_success, reduct_candidates
 from picheck.syntax import (
     NIL,
@@ -31,6 +31,7 @@ from picheck.syntax import (
     Success,
     alpha_canonical,
     alpha_eq,
+    alpha_key,
     apply_renaming,
     bound_names,
     free_names,
@@ -205,15 +206,26 @@ def _assert_alpha_eq_reads_the_canonical_forms(p, q):
     return same
 
 
-def test_alpha_eq_equals_the_canonical_forms_within_each_bucket():
-    # Every pair with the same free names and size, among the 3-node corpus,
-    # its encodings and all their one-step reducts; other pairs differ at
-    # once.
+def _alpha_test_terms():
+    """The 3-node corpus, its encodings and all their one-step reducts,
+    which hold free fresh names, and the compositionality contexts of the
+    corpus's operators, which hold holes."""
     corpus = list(generate_terms(GeneratorConfig(max_nodes=3)))
     terms = corpus + [encode(t, scheme) for scheme in EncodingScheme for t in corpus]
     terms += [q for t in terms for q, _ in reduct_candidates(t)]
+    for t in corpus:
+        op, args = decompose(t)
+        n = frozenset().union(*map(free_names, args))
+        terms += [context_for(op, n, scheme).term for scheme in EncodingScheme]
+    return list(dict.fromkeys(terms))
+
+
+def test_alpha_eq_equals_the_canonical_forms_within_each_bucket():
+    # Every pair with the same free names and size among the test terms;
+    # other pairs differ at once.
+    terms = _alpha_test_terms()
     buckets = {}
-    for t in dict.fromkeys(terms):
+    for t in terms:
         buckets.setdefault((free_names(t), term_size(t)), []).append(t)
     same = [
         _assert_alpha_eq_reads_the_canonical_forms(p, q)
@@ -391,17 +403,25 @@ def test_node_facts_match_their_definitions_on_the_corpus_and_its_encodings():
 
 
 NAMES = st.sampled_from((x, y, z, fresh(0), fresh(1)))
-TERMS = st.recursive(
-    st.sampled_from([NIL, SUCCESS]),
-    lambda sub: st.one_of(
-        st.builds(Output, NAMES, NAMES, sub),
-        st.builds(Input, NAMES, NAMES, sub),
-        st.builds(Par, sub, sub),
-        st.builds(Restrict, NAMES, sub),
-        st.builds(Repl, sub),
-    ),
-    max_leaves=10,
-)
+
+
+def _terms_over(leaves):
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of(
+            st.builds(Output, NAMES, NAMES, sub),
+            st.builds(Input, NAMES, NAMES, sub),
+            st.builds(Par, sub, sub),
+            st.builds(Restrict, NAMES, sub),
+            st.builds(Repl, sub),
+        ),
+        max_leaves=10,
+    )
+
+
+TERMS = _terms_over([NIL, SUCCESS])
+# Terms that may hold holes, as contexts do.
+HOLES = _terms_over([NIL, SUCCESS, Hole(0), Hole(1)])
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -429,6 +449,63 @@ def test_alpha_eq_equals_the_canonical_forms_on_respelled_terms(p, spellings):
     # Fresh names from #2 on occur nowhere in the generated terms.
     fresh_spellings = map(fresh, itertools.count(2))
     assert _assert_alpha_eq_reads_the_canonical_forms(q, rename_binders(q, fresh_spellings))
+
+
+def _partition(terms, key):
+    groups = {}
+    for t in terms:
+        groups.setdefault(key(t), set()).add(t)
+    return {frozenset(group) for group in groups.values()}
+
+
+def _subterms(p):
+    stack, found = [p], []
+    while stack:
+        q = stack.pop()
+        found.append(q)
+        stack += (getattr(q, f) for f in q.__match_args__ if isinstance(getattr(q, f), Process))
+    return found
+
+
+def _respelled(t):
+    # Binders renamed, in preorder, into names free nowhere in the test
+    # terms: alpha-equal to ``t``, and another node when ``t`` binds.
+    user_spellings = (user(f"v{i}") for i in itertools.count())
+    return [rename_binders(t, user_spellings), rename_binders(t, map(fresh, itertools.count(50)))]
+
+
+def test_alpha_key_partitions_terms_as_the_canonical_forms():
+    # Over the test terms and two respellings of each, keys are equal for
+    # exactly the pairs with one alpha form, across buckets too, and
+    # keying them all builds no node and stores nothing on any subterm.
+    terms = _alpha_test_terms()
+    respelled = [(t, u) for t in terms for u in _respelled(t)]
+    terms += [u for _, u in respelled]
+    classes = _partition(terms, alpha_canonical)
+    assert sum(len(c) > 1 for c in classes) > 1000
+    nodes = list(dict.fromkeys(q for t in terms for q in _subterms(t)))
+    stored = [len(q._memo) for q in nodes]
+    built = len(syntax._TABLE)
+    assert _partition(terms, alpha_key) == classes
+    assert len(syntax._TABLE) == built
+    assert [len(q._memo) for q in nodes] == stored
+    for t, u in respelled:
+        assert _assert_alpha_eq_reads_the_canonical_forms(t, u)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(HOLES, st.lists(NAMES, min_size=1, max_size=4))
+def test_alpha_key_equals_the_canonical_forms_on_respelled_terms_with_holes(p, spellings):
+    # The respelling test's twin for the key, on terms that may hold
+    # holes; keying builds no node and stores nothing on any subterm.
+    q = rename_binders(p, itertools.cycle(spellings))
+    same = alpha_canonical(p) is alpha_canonical(q)
+    nodes = _subterms(p) + _subterms(q)
+    stored = [len(t._memo) for t in nodes]
+    built = len(syntax._TABLE)
+    assert (alpha_key(p) == alpha_key(q)) == same == alpha_eq(p, q), (pprint(p), pprint(q))
+    assert len(syntax._TABLE) == built
+    assert [len(t._memo) for t in nodes] == stored
 
 
 # --- memoised results live on the node ---
