@@ -26,6 +26,7 @@ from enum import Enum
 from typing import Callable
 
 from .syntax import (
+    FRESH,
     NIL,
     SUCCESS,
     Hole,
@@ -39,7 +40,7 @@ from .syntax import (
     Restrict,
     Success,
     free_names,
-    fresh_name,
+    fresh,
     memo,
     names,
     user,
@@ -51,6 +52,11 @@ Clause = Callable[[Name, Name, Process, frozenset], Process]
 class EncodingScheme(Enum):
     BOUDOL = "boudol"
     HONDA_TOKORO = "honda-tokoro"
+
+    # Members are singletons compared by identity, so the identity hash,
+    # a C slot, serves every dict keyed by scheme without the Python call
+    # of ``Enum.__hash__``.
+    __hash__ = object.__hash__
 
 
 def anchor_steps(scheme: EncodingScheme) -> int:
@@ -123,20 +129,25 @@ def _clause(template: Process) -> Clause:
 
     The clause takes the prefix's two names, the encoded continuation and a
     set of ``extra`` names to avoid.  This is the one home of the fresh-name
-    rule: ``u`` and then ``v``, those of them the template uses, are each
-    the least fresh name outside fn(body) ∪ {x, y} ∪ extra and the names
-    taken before.  The template is read once, here, into one closure per
-    node (``_compile``); a call reads it no more.
+    rule: those of ``u`` and ``v`` the template uses take, in that order,
+    the least fresh names outside fn(body) ∪ {x, y} ∪ extra, picked in one
+    pass over the fresh keys those names hold.  The template is read once,
+    here, into one closure per node (``_compile``); a call reads it no more.
     """
-    fresh = [n for n in (_U, _V) if n in names(template)]
-    slots = {_X: 0, _Y: 1, _Z: 1} | {n: 2 + i for i, n in enumerate(fresh)}
+    fresh_slots = [n for n in (_U, _V) if n in names(template)]
+    slots = {_X: 0, _Y: 1, _Z: 1} | {n: 2 + i for i, n in enumerate(fresh_slots)}
     build = _compile(template, slots)
 
     def clause(x: Name, y: Name, body: Process, extra: frozenset) -> Process:
-        env, taken = [x, y], {x, y, *free_names(body), *extra}
-        for _ in fresh:
-            env.append(fresh_name(taken))
-            taken.add(env[-1])
+        env = [x, y]
+        if fresh_slots:
+            taken = {n.key for n in (x, y, *free_names(body), *extra) if n.space == FRESH}
+            i = 0
+            for _ in fresh_slots:
+                while i in taken:
+                    i += 1
+                env.append(fresh(i))
+                i += 1
         return build(env, body)
 
     return clause

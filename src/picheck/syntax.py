@@ -344,7 +344,7 @@ def names(p: Process) -> NameSet:
 
 def fresh_name(avoid: Iterable[Name]) -> Name:
     """Least fresh-space name not in ``avoid``. Deterministic and pure."""
-    taken = {n.key for n in avoid if isinstance(n, Name) and n.is_fresh}
+    taken = {n.key for n in avoid if n.space == FRESH}
     i = 0
     while i in taken:
         i += 1

@@ -1,4 +1,10 @@
-"""Three-valued verdicts for semi-decidable checks."""
+"""Three-valued verdicts for semi-decidable checks.
+
+Verdicts are frozen, so equal ones can be one object: every Holds without
+a witness is shared per budget, the way interned terms share equal values
+(Filliâtre & Conchon, "Type-safe modular hash-consing", 2006).  A Holds
+with a witness, and every Violated and Inconclusive, is its own object.
+"""
 
 from __future__ import annotations
 
@@ -42,14 +48,29 @@ class Verdict:
         return dict(self.budget_used)
 
 
-# The plain Holds: verdicts are frozen, so every caller can share one.
+# The plain Holds, and every other witness-free Holds keyed by its witness
+# and budget items, both in call order and sorted, so that keyword order
+# makes no second verdict.  The table grows only with the distinct budgets
+# a run returns.
 _HOLDS = Verdict(Outcome.HOLDS)
+_SHARED: dict = {}
 
 
 def holds(witness: Any = None, **budget: int) -> Verdict:
-    """Holds; without a witness or a budget, the one shared plain Holds."""
+    """Holds.  Without a witness (``None`` or ``()``) it is one shared
+    verdict per budget, built with ``budget_used`` sorted on the first
+    request; any other witness gets its own verdict."""
     if witness is None and not budget:
         return _HOLDS
+    if witness is None or witness == ():
+        key = (witness, *budget.items())
+        try:
+            return _SHARED[key]
+        except KeyError:
+            used = tuple(sorted(budget.items()))
+            v = _SHARED.setdefault((witness, *used), Verdict(Outcome.HOLDS, witness, used))
+            _SHARED[key] = v
+            return v
     return Verdict(Outcome.HOLDS, witness, tuple(sorted(budget.items())))
 
 

@@ -20,6 +20,7 @@ from picheck.congruence import UNFOLDS, flatten
 from picheck.encodings import translator
 from picheck.reduction import PROBE_BUDGET, STATE_CAP, STEP_BUDGET, can_step
 from picheck.syntax import names
+from picheck.verdicts import Outcome, Verdict
 from test_reduction import deadline
 from test_syntax import TERMS
 from picheck import (
@@ -838,6 +839,35 @@ def test_search_criteria_do_not_search_when_neither_side_can_step(monkeypatch):
             assert calls == [], (pprint(s), calls)
             settled += 1
     assert settled == 2 * (1547 - 8)
+
+
+def test_search_criteria_share_one_verdict_on_terms_that_cannot_step():
+    # The corpus is mostly terms that cannot step, and each of these four
+    # criteria settles them all with one witness-free Holds: one object per
+    # scheme for op-completeness, whose budget is the scheme's step count,
+    # and one for both schemes for the other three.
+    quiet = [s for s in corpus(3) if not can_step(s)]
+    assert len(quiet) == 1539
+    depth = Verdict(Outcome.HOLDS, None, (("depth", 16),))
+    expected = {
+        check_op_completeness: {
+            B: Verdict(Outcome.HOLDS, (), (("steps", 3),)),
+            HT: Verdict(Outcome.HOLDS, (), (("steps", 2),)),
+        },
+        check_op_soundness: dict.fromkeys(
+            SCHEMES, Verdict(Outcome.HOLDS, None, (("sources", 1), ("states", 1)))
+        ),
+        check_divergence_reflection: dict.fromkeys(SCHEMES, depth),
+        check_success_sensitiveness: dict.fromkeys(SCHEMES, depth),
+    }
+    for check, want in expected.items():
+        ids = {}
+        for scheme in SCHEMES:
+            objects = {id(v): v for v in (check(s, scheme) for s in quiet)}
+            assert list(objects.values()) == [want[scheme]], (check.__name__, scheme)
+            ids[scheme] = objects.keys()
+        if want[B] == want[HT]:
+            assert ids[B] == ids[HT], check.__name__
 
 
 def test_divergence_reflection_holds_on_a_diverging_source_before_the_target():

@@ -8,11 +8,15 @@ are pinned as printed terms, and every encoder, mutant and context built
 from them is compared node for node with the hand-written clauses below.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
-from test_syntax import TERMS
+from hypothesis import strategies as st
+from test_syntax import TERMS, _subterms
 
 from picheck import encodings
+from picheck.syntax import names
 from picheck import (
     NIL,
     SUCCESS,
@@ -41,8 +45,10 @@ from picheck import (
     generate_terms,
     is_async,
     mutant_encoder,
+    par_all,
     parse,
     pprint,
+    reduct_candidates,
     user,
 )
 
@@ -246,6 +252,14 @@ def test_anchor_steps():
     assert anchor_steps(HONDA_TOKORO) == 2
 
 
+def test_schemes_hash_by_identity():
+    # Every criterion looks its scheme up in dicts keyed by scheme; the
+    # identity hash is a C slot, where ``Enum.__hash__`` is a Python call.
+    assert EncodingScheme.__hash__ is object.__hash__
+    assert {s: s.value for s in SCHEMES}[HONDA_TOKORO] == "honda-tokoro"
+    assert all(pickle.loads(pickle.dumps(s)) is s for s in SCHEMES)
+
+
 # --- deliberate defects ---
 
 
@@ -439,6 +453,88 @@ def test_mutant_encoder_is_one_memoised_function():
     for scheme in SCHEMES:
         for mutation in Mutation:
             assert mutant_encoder(scheme, mutation) is mutant_encoder(scheme, mutation)
+
+
+# --- the fresh-name rule, one pass against the growing avoid set ---
+
+
+def growing_set_clause(template):
+    """A template's clause with each bookkeeping name picked by
+    ``fresh_name`` over the names taken so far, the one just picked
+    included: the reference for the compiled clauses' one-pass pick."""
+    fresh_slots = [n for n in (encodings._U, encodings._V) if n in names(template)]
+    slots = {encodings._X: 0, encodings._Y: 1, encodings._Z: 1}
+    slots |= {n: 2 + i for i, n in enumerate(fresh_slots)}
+    build = encodings._compile(template, slots)
+
+    def clause(x, y, body, extra):
+        env, taken = [x, y], {x, y, *free_names(body), *extra}
+        for _ in fresh_slots:
+            env.append(fresh_name(taken))
+            taken.add(env[-1])
+        return build(env, body)
+
+    return clause
+
+
+def every_template():
+    """The real and mutant clause templates, each once."""
+    rows = [
+        *encodings._OUT_TEMPLATES.values(),
+        *encodings._IN_TEMPLATES.values(),
+        *(t for row in encodings._MUTANT_OUT_TEMPLATES.values() for t in row),
+    ]
+    return list({id(t): t for t in rows}.values())
+
+
+def test_clauses_pick_the_fresh_names_of_the_growing_set_rule():
+    # Bodies holding free fresh names: every subterm of the 3-node corpus,
+    # its encodings, their one-step reducts and the alpha forms of all of
+    # these, in a fixed order.  The bodies take the prefix pairs and
+    # ``extra`` sets below in turn: the four sets ``context_for`` is given
+    # on this corpus (the arguments' free names), with user and fresh
+    # prefix names, and one set of fresh names.
+    source = corpus(3)
+    terms = dict.fromkeys(source)
+    for scheme in SCHEMES:
+        for s in source:
+            image = encode(s, scheme)
+            terms[image] = None
+            terms.update((q, None) for q, _ in reduct_candidates(image))
+    terms.update((alpha_canonical(t), None) for t in list(terms))
+    bodies = dict.fromkeys(q for t in terms for q in _subterms(t))
+    assert sum(any(n.is_fresh for n in free_names(b)) for b in bodies) > 1000
+    extras = {frozenset().union(*map(free_names, decompose(s)[1])) for s in source}
+    assert extras == {frozenset(), frozenset({x}), frozenset({y}), frozenset({x, y})}
+    calls = [
+        (x, y, frozenset()),
+        (y, x, frozenset({x, y})),
+        (fresh(0), y, frozenset({y})),
+        (x, fresh(1), frozenset({x})),
+        (fresh(2), fresh(0), frozenset({fresh(1)})),
+    ]
+    clauses = [(encodings._clause(t), growing_set_clause(t)) for t in every_template()]
+    for i, body in enumerate(bodies):
+        u, v, extra = calls[i % len(calls)]
+        for got, want in clauses:
+            assert got(u, v, body, extra) is want(u, v, body, extra), (pprint(body), u, v)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.frozensets(st.integers(0, 8)),
+    st.frozensets(st.integers(0, 8)),
+    st.sampled_from([x, y, fresh(0), fresh(1), fresh(3)]),
+    st.sampled_from([x, y, fresh(0), fresh(2)]),
+)
+def test_clauses_pick_the_fresh_names_of_the_growing_set_rule_on_random_keys(
+    body_keys, extra_keys, u, v
+):
+    body = par_all(Output(fresh(k), y, NIL) for k in sorted(body_keys))
+    extra = frozenset(map(fresh, extra_keys)) | {x}
+    for template in every_template():
+        got = encodings._clause(template)(u, v, body, extra)
+        assert got is growing_set_clause(template)(u, v, body, extra), pprint(template)
 
 
 # --- asyncify, the third clause walk ---
